@@ -206,6 +206,14 @@ impl AdmissionQueues {
         Some(offer)
     }
 
+    /// Re-counts an offer [`AdmissionQueues::take_best`] handed out that then
+    /// failed to enter the round (e.g. a malformed payload): it was dropped,
+    /// not drained.
+    pub fn record_failed_drain(&mut self) {
+        self.stats.drained = self.stats.drained.saturating_sub(1);
+        self.stats.dropped += 1;
+    }
+
     /// Drops every parked offer from `client` (mid-round churn: a departed
     /// client's queued offers must not win admission later). Returns how many
     /// offers were dropped.

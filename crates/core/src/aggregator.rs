@@ -1,11 +1,15 @@
 //! The LIFL aggregator runtime: the step-based Recv → Agg → Send processing
 //! model of Appendix G, operating on object keys in shared memory.
 
+use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::{EncodedView, UpdateCodec};
+use lifl_fl::kernels::DenseBytes;
 use lifl_fl::robust::PolicyFold;
 use lifl_shmem::queue::QueuedUpdate;
-use lifl_shmem::{InPlaceQueue, ObjectStore, SharedObject};
-use lifl_types::{AggregatorId, AggregatorRole, FoldPolicy, LiflError, Result, Topology};
+use lifl_shmem::{BufferPool, InPlaceQueue, ObjectStore, SharedObject};
+use lifl_types::{
+    AggregatorId, AggregatorRole, CodecKind, FoldPolicy, LiflError, Result, Topology,
+};
 
 /// The step the runtime is currently in (Appendix G, Fig. 14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,16 +37,19 @@ pub struct AggregatorRuntime {
     accumulator: PolicyFold,
     step: AggregatorStep,
     aggregated: u64,
-    /// When set (and lossy), outgoing intermediates are re-encoded with this
-    /// codec and stored compressed (the decode-fold-encode interior path).
-    codec: Option<UpdateCodec>,
+    /// When lossy, outgoing intermediates are re-encoded with this codec and
+    /// stored compressed (the decode-fold-encode interior path). When
+    /// lossless, the accumulator is checked out of the codec's pool and the
+    /// result is stored through an owner that checks it back in.
+    codec: UpdateCodec,
     /// Parameter-vector partitions for batch folding (1 = sequential).
     shards: usize,
 }
 
 impl AggregatorRuntime {
     /// Creates a runtime with the given aggregation goal (§2.1), reading
-    /// updates from `inbox` and payloads from `store`.
+    /// updates from `inbox` and payloads from `store`. Its intermediates are
+    /// stored dense, through a private buffer pool.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
@@ -52,6 +59,32 @@ impl AggregatorRuntime {
         goal: u64,
         store: ObjectStore,
         inbox: InPlaceQueue,
+    ) -> Result<Self> {
+        Self::with_codec(
+            id,
+            role,
+            goal,
+            store,
+            inbox,
+            UpdateCodec::new(CodecKind::Identity),
+        )
+    }
+
+    /// Creates a runtime whose outgoing intermediates travel through `codec`.
+    /// Incoming updates are decoded from whatever representation their queue
+    /// entry declares, so mixed (dense + encoded) inboxes are fine. Under a
+    /// lossless codec the accumulator is recycled through the codec's pool
+    /// (see [`AggregatorRuntime::send`]).
+    ///
+    /// # Errors
+    /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
+    pub fn with_codec(
+        id: AggregatorId,
+        role: AggregatorRole,
+        goal: u64,
+        store: ObjectStore,
+        inbox: InPlaceQueue,
+        codec: UpdateCodec,
     ) -> Result<Self> {
         if goal == 0 {
             return Err(LiflError::InvalidAggregationGoal(0));
@@ -65,28 +98,9 @@ impl AggregatorRuntime {
             accumulator: PolicyFold::default(),
             step: AggregatorStep::Recv,
             aggregated: 0,
-            codec: None,
+            codec,
             shards: 1,
         })
-    }
-
-    /// Creates a runtime whose outgoing intermediates travel through `codec`.
-    /// Incoming updates are decoded from whatever representation their queue
-    /// entry declares, so mixed (dense + encoded) inboxes are fine.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
-    pub fn with_codec(
-        id: AggregatorId,
-        role: AggregatorRole,
-        goal: u64,
-        store: ObjectStore,
-        inbox: InPlaceQueue,
-        codec: UpdateCodec,
-    ) -> Result<Self> {
-        let mut runtime = Self::new(id, role, goal, store, inbox)?;
-        runtime.codec = Some(codec);
-        Ok(runtime)
     }
 
     /// Creates the runtime serving position (`level`, `index`) of an N-level
@@ -134,6 +148,22 @@ impl AggregatorRuntime {
     /// The configured shard count.
     pub fn shards(&self) -> usize {
         self.shards
+    }
+
+    /// Draws the accumulator for a `dim`-parameter round from the codec's
+    /// pool when the result will be stored dense (a lossless codec) and the
+    /// accumulator has no buffer yet. [`AggregatorRuntime::send`] returns
+    /// the buffer there, so a steady-state round allocates no accumulator.
+    ///
+    /// A lossy runtime keeps allocating its accumulator and frees it after
+    /// the re-encode: the dense buffer is not what it stores, and keeping it
+    /// idle in the pool only raises the heap peak.
+    fn provide_accumulator(&mut self, dim: usize) {
+        if self.codec.kind().is_lossless() {
+            let pool = self.codec.pool();
+            self.accumulator
+                .provide_sum(dim, |len| pool.checkout_f32(len));
+        }
     }
 
     /// Sets the fold policy this runtime aggregates with
@@ -219,8 +249,9 @@ impl AggregatorRuntime {
         let object = self.store.get(&queued.key)?;
         // Fused decode-fold straight off the shared-memory bytes: no
         // intermediate `DenseModel` (or payload copy) is materialised.
-        self.accumulator
-            .fold_encoded_view(&payload_view(&object, &queued)?, queued.weight)?;
+        let view = payload_view(&object, &queued)?;
+        self.provide_accumulator(view.dim());
+        self.accumulator.fold_encoded_view(&view, queued.weight)?;
         self.aggregated += 1;
         if self.goal_met() {
             self.step = AggregatorStep::Send;
@@ -296,6 +327,9 @@ impl AggregatorRuntime {
                 entry.weight,
             ));
         }
+        if let Some((view, _)) = views.first() {
+            self.provide_accumulator(view.dim());
+        }
         self.accumulator
             .fold_encoded_batch(&views, self.shards)
             .map_err(|e| (None, e))?;
@@ -305,29 +339,44 @@ impl AggregatorRuntime {
     /// Runs the Send step: finalises the aggregate, writes it into shared
     /// memory and returns the queue entry to hand to the consumer.
     ///
+    /// A lossless result is stored by move: the finalized buffer becomes the
+    /// stored object's owner, byte-identical to `ObjectStore::put_f32` of
+    /// the same values. A lossy result is re-encoded and stored compressed.
+    ///
     /// # Errors
     /// Returns an error if the goal has not been met or the store is full.
     pub fn send(&mut self) -> Result<QueuedUpdate> {
+        let result = self.finish()?;
+        if self.codec.kind().is_lossless() {
+            let key = self.store.put(bytes::Bytes::from_owner(PooledDense {
+                buffer: Some(DenseBytes::new(result.model.into_vec())),
+                pool: self.codec.pool().clone(),
+            }))?;
+            Ok(QueuedUpdate::intermediate(key, result.samples))
+        } else {
+            let encoded = self.codec.encode(&result.model);
+            let key = self
+                .store
+                .put_encoded(encoded.to_bytes(), encoded.dense_bytes())?;
+            Ok(QueuedUpdate::intermediate(key, result.samples).encoded())
+        }
+    }
+
+    /// The Send step without publishing: finalises the aggregate and hands
+    /// it to the caller by move (how a session's top aggregator returns the
+    /// global model without a store round-trip).
+    ///
+    /// # Errors
+    /// Returns [`LiflError::InvalidAggregationGoal`] if the goal has not been
+    /// met.
+    pub fn finish(&mut self) -> Result<ModelUpdate> {
         if !self.goal_met() {
             return Err(LiflError::InvalidAggregationGoal(self.aggregated));
         }
         let result = self.accumulator.finalize()?;
-        let queued = match &mut self.codec {
-            Some(codec) if !codec.kind().is_lossless() => {
-                let encoded = codec.encode(&result.model);
-                let key = self
-                    .store
-                    .put_encoded(encoded.to_bytes(), encoded.dense_bytes())?;
-                QueuedUpdate::intermediate(key, result.samples).encoded()
-            }
-            _ => {
-                let key = self.store.put_f32(result.model.as_slice())?;
-                QueuedUpdate::intermediate(key, result.samples)
-            }
-        };
         self.aggregated = 0;
         self.step = AggregatorStep::Recv;
-        Ok(queued)
+        Ok(result)
     }
 
     /// Drives the runtime until the goal is met and the result is sent
@@ -337,6 +386,24 @@ impl AggregatorRuntime {
     /// # Errors
     /// Propagates the errors of [`AggregatorRuntime::poll`] and [`AggregatorRuntime::send`].
     pub fn run_to_completion(&mut self) -> Result<QueuedUpdate> {
+        self.fill_to_goal()?;
+        self.send()
+    }
+
+    /// Like [`AggregatorRuntime::run_to_completion`], but hands the
+    /// aggregate back by move instead of storing it (see
+    /// [`AggregatorRuntime::finish`]).
+    ///
+    /// # Errors
+    /// Propagates the errors of [`AggregatorRuntime::poll`] and
+    /// [`AggregatorRuntime::finish`].
+    pub fn run_to_model(&mut self) -> Result<ModelUpdate> {
+        self.fill_to_goal()?;
+        self.finish()
+    }
+
+    /// Receives and folds until the aggregation goal is met.
+    fn fill_to_goal(&mut self) -> Result<()> {
         while !self.goal_met() {
             let progressed = if self.shards > 1 {
                 self.drain_batch()? > 0
@@ -350,7 +417,31 @@ impl AggregatorRuntime {
                 )));
             }
         }
-        self.send()
+        Ok(())
+    }
+}
+
+/// The shared-memory owner of a lossless aggregate whose buffer came from a
+/// [`BufferPool`]: it reads as the buffer's little-endian bytes and checks
+/// the buffer back into the pool when the last reference to the stored
+/// object drops (the store entry, a hop's `RemoteBytes` envelope, a reader's
+/// handle), so the next round's accumulator reuses it.
+struct PooledDense {
+    buffer: Option<DenseBytes>,
+    pool: BufferPool,
+}
+
+impl AsRef<[u8]> for PooledDense {
+    fn as_ref(&self) -> &[u8] {
+        self.buffer.as_ref().map_or(&[], DenseBytes::as_ref)
+    }
+}
+
+impl Drop for PooledDense {
+    fn drop(&mut self) {
+        if let Some(buffer) = self.buffer.take() {
+            self.pool.checkin_f32(buffer.into_values());
+        }
     }
 }
 
@@ -415,6 +506,39 @@ mod tests {
         let result = store.get(&out.key).unwrap().as_f32_vec();
         assert!((result[0] - 3.5).abs() < 1e-6);
         assert!((result[1] - 7.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn pooled_runtime_recycles_its_accumulator_through_the_store() {
+        let store = ObjectStore::new();
+        let inbox = InPlaceQueue::new();
+        let pool = BufferPool::new();
+        let mut agg = AggregatorRuntime::with_codec(
+            AggregatorId::new(1),
+            AggregatorRole::Leaf,
+            2,
+            store.clone(),
+            inbox.clone(),
+            UpdateCodec::new(CodecKind::Identity).with_pool(pool.clone()),
+        )
+        .unwrap();
+        for round in 0..3u64 {
+            queue_client_update(&store, &inbox, 1, &[2.0, 4.0, -0.0], 1);
+            queue_client_update(&store, &inbox, 2, &[4.0, 8.0, 1.0], 3);
+            let out = agg.run_to_completion().unwrap();
+            let object = store.get(&out.key).unwrap();
+            // Byte-identical to the borrowed-copy path.
+            let want = SharedObject::encode_f32(&object.as_f32_vec());
+            assert_eq!(object.as_slice(), want.as_slice());
+            assert_eq!(object.as_f32_vec(), vec![3.5, 7.0, 0.75]);
+            // The buffer returns to the pool once the last handle drops.
+            assert_eq!(pool.stats().idle_buffers, 0);
+            store.recycle_all();
+            drop(object);
+            let stats = pool.stats();
+            assert_eq!(stats.idle_buffers, 1, "round {round}: {stats:?}");
+            assert_eq!(stats.hits, round, "round {round}: {stats:?}");
+        }
     }
 
     #[test]

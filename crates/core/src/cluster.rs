@@ -46,7 +46,8 @@ use crate::recovery::{RecoveryManager, RecoveryOutcome};
 use crate::session::{Session, SessionBuilder, Update, WireExport};
 use lifl_dataplane::{CostModel, DataPlaneKind, TransferCost};
 use lifl_fl::aggregate::ModelUpdate;
-use lifl_fl::codec::{ErrorFeedback, UpdateCodec};
+use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
+use lifl_fl::kernels::dense_le_bytes;
 use lifl_serverless::{FleetConfig, FleetController, FleetDecision};
 use lifl_shmem::{BufferPool, CheckpointStore, StoreStats};
 use lifl_types::{
@@ -1013,20 +1014,19 @@ impl Cluster {
             other => other,
         };
         let outcome = match &update {
-            Update::Dense(dense) => {
-                let mut wire = self.pool.checkout_bytes(dense.model.dim() * 4);
-                for v in dense.model.as_slice() {
-                    wire.extend_from_slice(&v.to_le_bytes());
-                }
-                let outcome = match self.admission.as_mut() {
-                    Some(queues) => queues.offer(dense.client, &wire, dense.samples, false),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                };
-                self.pool.checkin_bytes(wire);
-                outcome
-            }
+            // The model's little-endian byte view goes straight to the
+            // queue, which makes the one copy into its pooled backlog.
+            Update::Dense(dense) => match self.admission.as_mut() {
+                Some(queues) => queues.offer(
+                    dense.client,
+                    &dense_le_bytes(dense.model.as_slice()),
+                    dense.samples,
+                    false,
+                ),
+                None => AdmissionOutcome::Rejected {
+                    retry_after: SimDuration::ZERO,
+                },
+            },
             Update::Encoded {
                 client,
                 update: encoded,
@@ -1044,12 +1044,17 @@ impl Cluster {
                 wire,
                 weight,
                 encoded,
-            } => match self.admission.as_mut() {
-                Some(queues) => queues.offer(None, wire, *weight, *encoded),
-                None => AdmissionOutcome::Rejected {
-                    retry_after: SimDuration::ZERO,
-                },
-            },
+            } => {
+                // Malformed payloads are refused at queue time, exactly as
+                // the session's queue and the direct ingress refuse them.
+                EncodedView::parse_wire(wire, *encoded)?;
+                match self.admission.as_mut() {
+                    Some(queues) => queues.offer(None, wire, *weight, *encoded),
+                    None => AdmissionOutcome::Rejected {
+                        retry_after: SimDuration::ZERO,
+                    },
+                }
+            }
         };
         self.feedback.recycle_update(update);
         Ok(outcome)
@@ -1059,15 +1064,30 @@ impl Cluster {
     /// (utility desc, arrival asc) — until the round is full or the backlog
     /// is empty. Called automatically when a driven round opens the next
     /// one.
+    ///
+    /// An offer that fails to enter the round is dropped (and counted in
+    /// [`AdmissionStats::dropped`](crate::admission::AdmissionStats)). After
+    /// a payload error ([`LiflError::Codec`]) the valid offers behind it
+    /// still drain; after any other error the drain stops and they stay
+    /// queued.
     fn drain_backlog(&mut self) {
         while (self.ingested as usize) < self.round_capacity() {
             let Some(offer) = self.admission.as_mut().and_then(AdmissionQueues::take_best) else {
                 break;
             };
-            if self
-                .ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
-                .is_err()
-            {
+            let Err(error) =
+                self.ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
+            else {
+                continue;
+            };
+            if let Some(queues) = self.admission.as_mut() {
+                queues.record_failed_drain();
+            }
+            // A payload the codec refuses can never enter a round, so the
+            // valid offers behind it keep draining. Any other failure (a full
+            // store, a full subtree) would hit every later offer the same
+            // way: stop, and leave them queued for the next drain.
+            if !matches!(error, LiflError::Codec(_)) {
                 break;
             }
         }
@@ -2381,6 +2401,36 @@ mod tests {
             .ingest_all(updates(6, 16).into_iter().map(Update::Dense))
             .unwrap();
         assert_eq!(cluster.drive().unwrap().updates_ingested(), 8);
+    }
+
+    #[test]
+    fn a_failing_backlog_offer_is_dropped_and_the_drain_continues() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .build()
+            .unwrap();
+        let batch = updates(11, 16);
+        for update in &batch[..9] {
+            cluster.try_ingest(Update::Dense(update.clone())).unwrap();
+        }
+        // Queue-time validation refuses malformed payloads, so park one
+        // straight in the queues to model an offer that fails at drain time.
+        cluster
+            .admission
+            .as_mut()
+            .unwrap()
+            .offer(None, &[1, 2, 3], 1, true);
+        for update in &batch[9..] {
+            cluster.try_ingest(Update::Dense(update.clone())).unwrap();
+        }
+        assert_eq!(cluster.queued_updates(), 4);
+        assert_eq!(cluster.drive().unwrap().updates_ingested(), 8);
+        // The bad offer was dropped; every valid one behind it drained.
+        assert_eq!(cluster.queued_updates(), 0);
+        assert_eq!(cluster.pending_updates(), 3);
+        let stats = cluster.admission_stats();
+        assert_eq!((stats.queued, stats.drained, stats.dropped), (4, 3, 1));
     }
 
     #[test]

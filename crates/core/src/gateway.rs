@@ -6,6 +6,7 @@
 //! and ships it to a remote node's gateway.
 
 use lifl_fl::codec::{EncodedUpdate, EncodedView};
+use lifl_fl::kernels::DenseBytes;
 use lifl_fl::update::Update;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{InPlaceQueue, ObjectStore};
@@ -48,26 +49,42 @@ impl Gateway {
 
     /// The single polymorphic ingress: accepts a model update in whatever
     /// representation it arrived ([`Update`]) and performs the matching
-    /// one-time payload processing — dense parameters and encoded payloads
-    /// are written to shared memory as-is, encoded remote wire bytes have
-    /// their descriptor validated in place (dense remote bytes are stored
-    /// as-is; a dimension mismatch surfaces at fold time) — before the
-    /// object key is queued for `target`.
+    /// one-time payload processing before the object key is queued for
+    /// `target`:
+    ///
+    /// * a dense update's parameter buffer *moves* into shared memory (see
+    ///   [`Gateway::ingest_dense`]) — no copy;
+    /// * an encoded update is written as its self-describing wire string;
+    /// * remote wire bytes are stored as-is after validation: encoded bytes
+    ///   have their descriptor parsed in place, dense bytes must hold whole
+    ///   `f32`s (a dimension mismatch surfaces at fold time).
     ///
     /// The representation-specific methods below remain as typed shortcuts;
-    /// this entry point is what `Session::ingest` and other
-    /// representation-agnostic callers use. A dense or encoded update with
-    /// no client id is attributed to its arrival index.
+    /// this entry point is what representation-agnostic callers use
+    /// (`Session::ingest` through its recycling form). A dense or encoded
+    /// update with no client id is attributed to its arrival index.
     ///
     /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload or a remote
-    /// encoded payload is malformed.
-    pub fn ingest(&mut self, target: AggregatorId, update: &Update) -> Result<QueuedUpdate> {
+    /// Fails if the shared-memory store cannot hold the payload or remote
+    /// wire bytes are malformed.
+    pub fn ingest(&mut self, target: AggregatorId, update: Update) -> Result<QueuedUpdate> {
+        self.ingest_recycling(target, update, drop)
+    }
+
+    /// [`Gateway::ingest`], handing an encoded update back to `recycle` once
+    /// its wire string is stored (or failed to store), so a session can
+    /// return the encode body to its scratch pool.
+    pub(crate) fn ingest_recycling(
+        &mut self,
+        target: AggregatorId,
+        update: Update,
+        recycle: impl FnOnce(EncodedUpdate),
+    ) -> Result<QueuedUpdate> {
         let fallback = ClientId::new(self.ingested_updates);
         match update {
             Update::Dense(dense) => {
                 let client = dense.client.unwrap_or(fallback);
-                self.ingest_client_update(client, target, dense.model.as_slice(), dense.samples)
+                self.ingest_dense(client, target, dense.model.into_vec(), dense.samples)
             }
             Update::Encoded {
                 client,
@@ -75,32 +92,66 @@ impl Gateway {
                 samples,
             } => {
                 let client = client.unwrap_or(fallback);
-                self.ingest_encoded_update(client, target, update, *samples)
+                let outcome = self.ingest_encoded_update(client, target, &update, samples);
+                recycle(update);
+                outcome
             }
             Update::RemoteBytes {
                 wire,
                 weight,
                 encoded,
             } => {
-                if *encoded {
-                    self.ingest_remote_encoded(target, wire.clone(), *weight)
+                if encoded {
+                    self.ingest_remote_encoded(target, wire, weight)
                 } else {
                     // Headerless dense little-endian `f32` bytes, stored
                     // as-is (byte-identical to `put_f32` of the decoded
                     // values, with no intermediate decode).
-                    let key = self.store.put(wire.clone())?;
-                    let queued = QueuedUpdate::intermediate(key, *weight);
+                    EncodedView::parse_dense(&wire)?;
+                    let wire_len = wire.len() as u64;
+                    let key = self.store.put(wire)?;
+                    let queued = QueuedUpdate::intermediate(key, weight);
                     self.deliver(target, queued);
                     self.ingested_updates += 1;
-                    self.ingested_bytes += wire.len() as u64;
+                    self.ingested_bytes += wire_len;
                     Ok(queued)
                 }
             }
         }
     }
 
+    /// Ingests an owned dense client update by move: `values` becomes the
+    /// owner of the stored object through the little-endian byte view
+    /// [`DenseBytes`], so the parameters reach shared memory without being
+    /// copied (on little-endian targets) and the stored bytes equal what
+    /// [`ObjectStore::put_f32`] would write. The buffer is freed when the
+    /// round recycles the object.
+    ///
+    /// # Errors
+    /// Fails if the shared-memory store cannot hold the payload.
+    pub fn ingest_dense(
+        &mut self,
+        client: ClientId,
+        target: AggregatorId,
+        values: Vec<f32>,
+        samples: u64,
+    ) -> Result<QueuedUpdate> {
+        let payload_bytes = (values.len() * 4) as u64;
+        let key = self
+            .store
+            .put(bytes::Bytes::from_owner(DenseBytes::new(values)))?;
+        let mut queued = QueuedUpdate::from_client(client, key);
+        queued.weight = samples;
+        self.deliver(target, queued);
+        self.ingested_updates += 1;
+        self.ingested_bytes += payload_bytes;
+        Ok(queued)
+    }
+
     /// Ingests a raw client update: writes the payload into shared memory and
-    /// enqueues the key for `target` (in-place message queuing, §4.2).
+    /// enqueues the key for `target` (in-place message queuing, §4.2). The
+    /// borrowed payload is copied once; [`Gateway::ingest_dense`] moves an
+    /// owned one instead.
     ///
     /// # Errors
     /// Fails if the shared-memory store cannot hold the payload.
@@ -111,13 +162,7 @@ impl Gateway {
         payload: &[f32],
         samples: u64,
     ) -> Result<QueuedUpdate> {
-        let key = self.store.put_f32(payload)?;
-        let mut queued = QueuedUpdate::from_client(client, key);
-        queued.weight = samples;
-        self.deliver(target, queued);
-        self.ingested_updates += 1;
-        self.ingested_bytes += (payload.len() * 4) as u64;
-        Ok(queued)
+        self.ingest_dense(client, target, payload.to_vec(), samples)
     }
 
     /// Ingests a codec-encoded client update: the compressed self-describing
@@ -201,8 +246,8 @@ impl Gateway {
     /// find and reclaim the client's slot.
     ///
     /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload or an
-    /// encoded payload is malformed.
+    /// Fails if the shared-memory store cannot hold the payload, an encoded
+    /// payload is malformed or a dense one does not hold whole `f32`s.
     pub fn ingest_prepared(
         &mut self,
         target: AggregatorId,
@@ -216,6 +261,7 @@ impl Gateway {
             let dense_bytes = EncodedView::parse(&wire)?.dim() as u64 * 4;
             self.store.put_encoded(wire, dense_bytes)?
         } else {
+            EncodedView::parse_dense(&wire)?;
             self.store.put(wire)?
         };
         let mut queued = QueuedUpdate {
@@ -376,7 +422,7 @@ mod tests {
         let dense = gw
             .ingest(
                 agg,
-                &Update::Dense(ModelUpdate::intermediate(model.clone(), 3)),
+                Update::Dense(ModelUpdate::intermediate(model.clone(), 3)),
             )
             .unwrap();
         assert_eq!(dense.producer, Some(ClientId::new(0)));
@@ -387,13 +433,11 @@ mod tests {
         let encoded = codec.encode(&model);
         let wire = encoded.to_bytes();
         let queued = gw
-            .ingest(agg, &Update::encoded(ClientId::new(9), encoded, 4))
+            .ingest(agg, Update::encoded(ClientId::new(9), encoded, 4))
             .unwrap();
         assert!(queued.encoded);
 
-        let remote = gw
-            .ingest(agg, &Update::remote_bytes(wire, 7, true))
-            .unwrap();
+        let remote = gw.ingest(agg, Update::remote_bytes(wire, 7, true)).unwrap();
         assert!(remote.encoded);
         assert_eq!(remote.weight, 7);
 
@@ -403,9 +447,7 @@ mod tests {
             .iter()
             .flat_map(|v| v.to_le_bytes())
             .collect();
-        let dense_remote = gw
-            .ingest(agg, &Update::remote_bytes(raw, 2, false))
-            .unwrap();
+        let dense_remote = gw.ingest(agg, Update::remote_bytes(raw, 2, false)).unwrap();
         assert!(!dense_remote.encoded);
         assert_eq!(
             store.get(&dense_remote.key).unwrap().as_f32_vec(),
@@ -415,8 +457,78 @@ mod tests {
         assert_eq!(inbox.len(), 4);
         assert_eq!(gw.ingested_updates(), 4);
         assert!(gw
-            .ingest(agg, &Update::remote_bytes(vec![1u8, 2], 1, true))
+            .ingest(agg, Update::remote_bytes(vec![1u8, 2], 1, true))
             .is_err());
+    }
+
+    #[test]
+    fn moved_dense_update_stores_the_put_f32_bytes_without_copying() {
+        use lifl_fl::{DenseModel, ModelUpdate, Update};
+        use lifl_shmem::SharedObject;
+
+        let store = ObjectStore::new();
+        let mut gw = Gateway::new(NodeId::new(0), store.clone());
+        let agg = AggregatorId::new(1);
+        gw.register_aggregator(agg);
+        let values: Vec<f32> = (0..1000)
+            .map(|i| (i as f32 * 0.37).sin() * 3.0)
+            .chain([f32::NAN, -0.0, f32::INFINITY, f32::MIN_POSITIVE / 2.0])
+            .collect();
+        let want = SharedObject::encode_f32(&values);
+        let ptr = values.as_ptr().cast::<u8>();
+        let update = Update::dense(ClientId::new(4), DenseModel::from_vec(values), 6);
+        let queued = gw.ingest(agg, update).unwrap();
+        let object = store.get(&queued.key).unwrap();
+        assert_eq!(object.as_slice(), want.as_slice());
+        assert_eq!(queued.producer, Some(ClientId::new(4)));
+        assert_eq!(queued.weight, 6);
+        assert_eq!(gw.ingested_bytes(), want.len() as u64);
+        if cfg!(target_endian = "little") {
+            assert_eq!(
+                object.as_slice().as_ptr(),
+                ptr,
+                "the buffer moved, not copied"
+            );
+        }
+        // The borrowed shortcut stores the same bytes.
+        let copied = gw
+            .ingest(
+                agg,
+                Update::Dense(ModelUpdate::intermediate(
+                    DenseModel::from_vec(object.as_f32_vec()),
+                    1,
+                )),
+            )
+            .unwrap();
+        assert_eq!(store.get(&copied.key).unwrap().as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn dense_wire_payloads_must_hold_whole_f32s() {
+        use lifl_fl::Update;
+
+        let store = ObjectStore::new();
+        let mut gw = Gateway::new(NodeId::new(0), store.clone());
+        let agg = AggregatorId::new(1);
+        let inbox = gw.register_aggregator(agg);
+        for len in [1usize, 2, 3, 7] {
+            let ragged = vec![0u8; len];
+            let err = gw
+                .ingest(agg, Update::remote_bytes(ragged.clone(), 1, false))
+                .unwrap_err();
+            assert!(matches!(err, lifl_types::LiflError::Codec(_)), "{err:?}");
+            let err = gw
+                .ingest_prepared(agg, Some(ClientId::new(1)), ragged, 1, false)
+                .unwrap_err();
+            assert!(matches!(err, lifl_types::LiflError::Codec(_)), "{err:?}");
+        }
+        // Nothing malformed reached the store or the queue.
+        assert_eq!(store.stats().total_puts, 0);
+        assert!(inbox.is_empty());
+        assert_eq!(gw.ingested_updates(), 0);
+        gw.ingest_prepared(agg, None, vec![0u8; 8], 1, false)
+            .unwrap();
+        assert_eq!(inbox.len(), 1);
     }
 
     #[test]

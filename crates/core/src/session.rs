@@ -29,6 +29,7 @@ use crate::aggregator::AggregatorRuntime;
 use crate::gateway::Gateway;
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
+use lifl_fl::kernels::dense_le_bytes;
 use lifl_fl::DenseModel;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{BufferPool, InPlaceQueue, ObjectStore, StoreStats};
@@ -516,18 +517,24 @@ impl Session {
             },
             other => other,
         };
-        let outcome = self.gateway.ingest(target, &update);
+        let wire_bytes = update.wire_bytes();
+        // A dense update's buffer moves into shared memory (no copy); an
+        // encoded one's body returns to the scratch pool once stored.
+        let feedback = &self.feedback;
+        let outcome = self
+            .gateway
+            .ingest_recycling(target, update, |encoded| feedback.recycle(encoded));
         match &outcome {
             Ok(queued) => {
                 // Account (and count) only what actually entered the round.
-                self.ingress_wire_bytes += update.wire_bytes();
+                self.ingress_wire_bytes += wire_bytes;
                 self.ingested += 1;
                 self.lifetime_ingested += 1;
                 self.round_keys.push(queued.key);
                 self.round_entries.push(RoundEntry {
                     client: queued.producer,
                     key: queued.key,
-                    wire_bytes: update.wire_bytes(),
+                    wire_bytes,
                     leaf,
                 });
                 if vacancy.is_none() {
@@ -540,7 +547,6 @@ impl Session {
                 }
             }
         }
-        self.feedback.recycle_update(update);
         outcome.map(|_| ())
     }
 
@@ -602,20 +608,19 @@ impl Session {
             other => other,
         };
         let outcome = match &update {
-            Update::Dense(dense) => {
-                let mut wire = self.pool.checkout_bytes(dense.model.dim() * 4);
-                for v in dense.model.as_slice() {
-                    wire.extend_from_slice(&v.to_le_bytes());
-                }
-                let outcome = match self.admission.as_mut() {
-                    Some(queues) => queues.offer(dense.client, &wire, dense.samples, false),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                };
-                self.pool.checkin_bytes(wire);
-                outcome
-            }
+            // The model's little-endian byte view goes straight to the
+            // queue, which makes the one copy into its pooled backlog.
+            Update::Dense(dense) => match self.admission.as_mut() {
+                Some(queues) => queues.offer(
+                    dense.client,
+                    &dense_le_bytes(dense.model.as_slice()),
+                    dense.samples,
+                    false,
+                ),
+                None => AdmissionOutcome::Rejected {
+                    retry_after: SimDuration::ZERO,
+                },
+            },
             Update::Encoded {
                 client,
                 update: encoded,
@@ -634,11 +639,9 @@ impl Session {
                 weight,
                 encoded,
             } => {
-                if *encoded {
-                    // Malformed encoded payloads are refused up front, just
-                    // as the direct ingress refuses them.
-                    EncodedView::parse(wire)?;
-                }
+                // Malformed payloads are refused up front, just as the
+                // direct ingress refuses them.
+                EncodedView::parse_wire(wire, *encoded)?;
                 match self.admission.as_mut() {
                     Some(queues) => queues.offer(None, wire, *weight, *encoded),
                     None => AdmissionOutcome::Rejected {
@@ -655,15 +658,30 @@ impl Session {
     /// (utility desc, arrival asc) — until the round is full or the backlog
     /// is empty. Called automatically when a driven round opens the next
     /// one.
+    ///
+    /// An offer that fails to enter the round is dropped (and counted in
+    /// [`AdmissionStats::dropped`](crate::admission::AdmissionStats)). After
+    /// a payload error ([`LiflError::Codec`]) the valid offers behind it
+    /// still drain; after any other error the drain stops and they stay
+    /// queued.
     fn drain_backlog(&mut self) {
         while (self.ingested as usize) < self.topology.total_updates() {
             let Some(offer) = self.admission.as_mut().and_then(AdmissionQueues::take_best) else {
                 break;
             };
-            if self
-                .ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
-                .is_err()
-            {
+            let Err(error) =
+                self.ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
+            else {
+                continue;
+            };
+            if let Some(queues) = self.admission.as_mut() {
+                queues.record_failed_drain();
+            }
+            // A payload the codec refuses can never enter a round, so the
+            // valid offers behind it keep draining. Any other failure (a full
+            // store, a full subtree) would hit every later offer the same
+            // way: stop, and leave them queued for the next drain.
+            if !matches!(error, LiflError::Codec(_)) {
                 break;
             }
         }
@@ -874,38 +892,48 @@ impl Session {
     /// Same conditions as [`Session::drive`].
     pub fn drive_to_wire(&mut self) -> Result<WireExport> {
         self.validate_round()?;
-        let outcome = self.drive_tree().and_then(|result| {
-            let object = self.store.get(&result.key)?;
-            Ok(WireExport {
-                update: Update::remote_bytes(object.bytes(), result.weight, result.encoded),
-                store_stats: self.store.stats(),
-                ingress_wire_bytes: self.ingress_wire_bytes,
-                updates_ingested: self.ingested,
-            })
-        });
+        let outcome = self
+            .drive_below_top()
+            .and_then(|mut top| top.run_to_completion())
+            .and_then(|result| {
+                self.round_keys.push(result.key);
+                let object = self.store.get(&result.key)?;
+                Ok(WireExport {
+                    update: Update::remote_bytes(object.bytes(), result.weight, result.encoded),
+                    store_stats: self.store.stats(),
+                    ingress_wire_bytes: self.ingress_wire_bytes,
+                    updates_ingested: self.ingested,
+                })
+            });
         self.reset_round();
         self.drain_backlog();
         outcome
     }
 
-    /// Runs the tree to completion and decodes the top's intermediate.
+    /// Runs the tree to completion and returns the top's aggregate as dense
+    /// parameters. Under a lossless codec the top hands its finalized buffer
+    /// over by move (no store round-trip, no copy); under a lossy one it
+    /// publishes its re-encoded intermediate, which is decoded here exactly
+    /// as a parent session would decode it.
     fn drive_and_decode(&mut self) -> Result<(DenseModel, u64)> {
-        let result = self.drive_tree()?;
+        let mut top = self.drive_below_top()?;
+        if self.codec.is_lossless() {
+            let result = top.run_to_model()?;
+            return Ok((result.model, result.samples));
+        }
+        let result = top.run_to_completion()?;
+        self.round_keys.push(result.key);
         let object = self.store.get(&result.key)?;
-        let model = if result.encoded {
-            // The one remaining full-decode site: parse the header in place
-            // and dequantize straight into the output buffer (no body copy).
-            let view = EncodedView::parse(object.as_slice())?;
-            let mut out = vec![0.0f32; view.dim()];
-            view.decode_into(&mut out)?;
-            DenseModel::from_vec(out)
-        } else {
-            DenseModel::from_vec(object.as_f32_vec())
-        };
-        Ok((model, result.weight))
+        // The one remaining full-decode site: parse the header in place and
+        // dequantize straight into the output buffer (no body copy).
+        let view = EncodedView::parse_wire(object.as_slice(), result.encoded)?;
+        let mut out = vec![0.0f32; view.dim()];
+        view.decode_into(&mut out)?;
+        Ok((DenseModel::from_vec(out), result.weight))
     }
 
-    /// Runs the tree level by level, returning the top's intermediate.
+    /// Runs every level below the top and returns the top aggregator, its
+    /// inbox holding the children's intermediates in child order.
     ///
     /// A full round runs every position; a partial (quorum) round skips
     /// positions whose inboxes are empty — each station aggregates exactly
@@ -913,7 +941,7 @@ impl Session {
     /// output, in child order. On a full round the two paths are
     /// identical position for position, so exact-fill results stay
     /// bit-exact.
-    fn drive_tree(&mut self) -> Result<QueuedUpdate> {
+    fn drive_below_top(&mut self) -> Result<AggregatorRuntime> {
         let levels = self.topology.levels();
         let full = self.ingested as usize == self.topology.total_updates();
         let mut stations: Vec<(usize, InPlaceQueue)> = self
@@ -923,14 +951,13 @@ impl Session {
             .enumerate()
             .filter(|(_, inbox)| full || !inbox.is_empty())
             .collect();
-        let mut outputs: Vec<(usize, QueuedUpdate)> = Vec::new();
-        for level in 0..levels {
+        for level in 0..levels.saturating_sub(1) {
             // Record every successful sibling's intermediate key before
             // surfacing a failure, so a failed level's survivors are still
             // recycled by reset_round instead of leaking in the store.
             let mut first_error = None;
             let results = self.run_level(level, &stations, full);
-            outputs = Vec::with_capacity(stations.len());
+            let mut outputs = Vec::with_capacity(stations.len());
             for ((index, _), result) in stations.iter().zip(results) {
                 match result {
                     Ok(output) => {
@@ -944,28 +971,26 @@ impl Session {
             if let Some(error) = first_error {
                 return Err(error);
             }
-            if level + 1 < levels {
-                // Group this level's outputs onto the next level's inboxes in
-                // child order: parent j consumes children j·f .. (j+1)·f
-                // (the children that exist, in a partial round).
-                let fan_in = self.topology.fan_in(level + 1);
-                let mut next: Vec<(usize, InPlaceQueue)> = Vec::new();
-                for (pos, output) in &outputs {
-                    let parent = pos / fan_in;
-                    if next.last().map(|(p, _)| *p) != Some(parent) {
-                        next.push((parent, InPlaceQueue::new()));
-                    }
-                    if let Some((_, inbox)) = next.last() {
-                        inbox.enqueue(*output);
-                    }
+            // Group this level's outputs onto the next level's inboxes in
+            // child order: parent j consumes children j·f .. (j+1)·f (the
+            // children that exist, in a partial round).
+            let fan_in = self.topology.fan_in(level + 1);
+            let mut next: Vec<(usize, InPlaceQueue)> = Vec::new();
+            for (pos, output) in &outputs {
+                let parent = pos / fan_in;
+                if next.last().map(|(p, _)| *p) != Some(parent) {
+                    next.push((parent, InPlaceQueue::new()));
                 }
-                stations = next;
+                if let Some((_, inbox)) = next.last() {
+                    inbox.enqueue(*output);
+                }
             }
+            stations = next;
         }
-        outputs
+        let (index, inbox) = stations
             .pop()
-            .map(|(_, output)| output)
-            .ok_or_else(|| LiflError::Simulation("top level produced no output".to_string()))
+            .ok_or_else(|| LiflError::Simulation("top level produced no output".to_string()))?;
+        self.station(levels.saturating_sub(1), index, inbox, full)
     }
 
     /// Discards the current (not yet driven) round: every ingested update is
@@ -1000,61 +1025,19 @@ impl Session {
     /// Runs every listed station (position, inbox) of one level on its own
     /// thread, returning each position's outcome in station order (no
     /// short-circuiting: the caller needs every survivor's key even when a
-    /// sibling fails). A full round uses the topology's fan-in as every
-    /// station's goal; a partial round aggregates exactly what each inbox
-    /// holds.
+    /// sibling fails).
     fn run_level(
         &self,
         level: usize,
         stations: &[(usize, InPlaceQueue)],
         full: bool,
     ) -> Vec<Result<QueuedUpdate>> {
-        let codec = self.codec;
-        let shards = self.shards;
-        let policy = self.policy;
-        let topology = &self.topology;
         std::thread::scope(|scope| {
             let handles: Vec<_> = stations
                 .iter()
                 .map(|(index, inbox)| {
-                    let index = *index;
-                    let store = self.store.clone();
-                    let inbox = inbox.clone();
-                    // Deterministic, position-unique codec stream (the same
-                    // (level, index) packing as the aggregator identity,
-                    // mapped into the enclosing cluster tree): leaves of a
-                    // standalone session draw from seed = index, exactly the
-                    // streams of the pre-redesign codec path.
-                    let seed = self.aggregator_id(level, index).index();
-                    let agg_codec =
-                        UpdateCodec::with_seed(codec, seed).with_pool(self.pool.clone());
-                    let goal = if full { 0 } else { inbox.len() as u64 };
-                    scope.spawn(move || -> Result<QueuedUpdate> {
-                        let mut aggregator = if goal == 0 {
-                            AggregatorRuntime::for_level(
-                                topology, level, index, store, inbox, agg_codec,
-                            )?
-                        } else {
-                            let role = if level + 1 == topology.levels() {
-                                lifl_types::AggregatorRole::Top
-                            } else if level == 0 {
-                                lifl_types::AggregatorRole::Leaf
-                            } else {
-                                lifl_types::AggregatorRole::Middle
-                            };
-                            AggregatorRuntime::with_codec(
-                                crate::aggregator::position_id(level, index),
-                                role,
-                                goal,
-                                store,
-                                inbox,
-                                agg_codec,
-                            )?
-                        };
-                        aggregator.set_shards(shards);
-                        aggregator.set_policy(policy)?;
-                        aggregator.run_to_completion()
-                    })
+                    let runtime = self.station(level, *index, inbox.clone(), full);
+                    scope.spawn(move || runtime?.run_to_completion())
                 })
                 .collect();
             handles
@@ -1068,6 +1051,50 @@ impl Session {
                 })
                 .collect()
         })
+    }
+
+    /// The aggregator serving position (`level`, `index`) over `inbox`. A
+    /// full round uses the topology's fan-in as the goal; a partial round
+    /// aggregates exactly what the inbox holds. Under a lossless codec every
+    /// station folds into an accumulator drawn from the session's pool and
+    /// stores its result through an owner that returns the buffer there.
+    fn station(
+        &self,
+        level: usize,
+        index: usize,
+        inbox: InPlaceQueue,
+        full: bool,
+    ) -> Result<AggregatorRuntime> {
+        // Deterministic, position-unique codec stream (the same (level,
+        // index) packing as the aggregator identity, mapped into the
+        // enclosing cluster tree): leaves of a standalone session draw from
+        // seed = index, exactly the streams of the pre-redesign codec path.
+        let seed = self.aggregator_id(level, index).index();
+        let codec = UpdateCodec::with_seed(self.codec, seed).with_pool(self.pool.clone());
+        let store = self.store.clone();
+        let mut aggregator = if full {
+            AggregatorRuntime::for_level(&self.topology, level, index, store, inbox, codec)?
+        } else {
+            let role = if level + 1 == self.topology.levels() {
+                lifl_types::AggregatorRole::Top
+            } else if level == 0 {
+                lifl_types::AggregatorRole::Leaf
+            } else {
+                lifl_types::AggregatorRole::Middle
+            };
+            let goal = inbox.len() as u64;
+            AggregatorRuntime::with_codec(
+                crate::aggregator::position_id(level, index),
+                role,
+                goal,
+                store,
+                inbox,
+                codec,
+            )?
+        };
+        aggregator.set_shards(self.shards);
+        aggregator.set_policy(self.policy)?;
+        Ok(aggregator)
     }
 }
 
@@ -1428,6 +1455,134 @@ mod tests {
         assert_eq!(stats.queued, 2);
         assert_eq!(stats.drained, 2);
         assert_eq!(stats.rejected, 0);
+    }
+
+    #[test]
+    fn pooled_accumulators_stay_bounded_by_the_station_count() {
+        let batch = updates(8, 64);
+        let stations = 4 + 2 + 1;
+        let mut session = SessionBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .build()
+            .unwrap();
+        let ingest = |session: &mut Session| {
+            session
+                .ingest_all(batch.iter().cloned().map(Update::Dense))
+                .unwrap();
+        };
+        for _ in 0..3 {
+            ingest(&mut session);
+            session.drive().unwrap();
+        }
+        // Every station but the top returned its buffer; the top's left
+        // with the report. Client buffers were never pooled.
+        let stats = session.pool().stats();
+        assert_eq!(stats.idle_buffers, stations - 1, "{stats:?}");
+        assert!(stats.peak_idle_buffers <= stations, "{stats:?}");
+        // An exported top buffer returns once the last hop handle drops.
+        ingest(&mut session);
+        let export = session.drive_to_wire().unwrap();
+        assert_eq!(session.store().stats().live_objects, 0);
+        assert_eq!(session.pool().stats().idle_buffers, stations - 1);
+        drop(export);
+        assert_eq!(session.pool().stats().idle_buffers, stations);
+        ingest(&mut session);
+        session.drive().unwrap();
+        let stats = session.pool().stats();
+        assert_eq!(stats.idle_buffers, stations - 1, "{stats:?}");
+        assert!(stats.peak_idle_buffers <= stations, "{stats:?}");
+    }
+
+    #[test]
+    fn a_failing_backlog_offer_is_dropped_and_the_drain_continues() {
+        let batch = updates(7, 8);
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .admission(AdmissionConfig::bounded(8, 1 << 20))
+            .build()
+            .unwrap();
+        for u in &batch[..5] {
+            session.try_ingest(Update::Dense(u.clone())).unwrap();
+        }
+        // Queue-time validation refuses malformed payloads, so park one
+        // straight in the queues to model an offer that fails at drain time.
+        session
+            .admission
+            .as_mut()
+            .unwrap()
+            .offer(None, &[1, 2, 3], 1, true);
+        for u in &batch[5..] {
+            session.try_ingest(Update::Dense(u.clone())).unwrap();
+        }
+        assert_eq!(session.queued_updates(), 4);
+        session.drive().unwrap();
+        // The bad offer was dropped; every valid one behind it drained.
+        assert_eq!(session.queued_updates(), 0);
+        assert_eq!(
+            session.round_clients(),
+            vec![
+                Some(ClientId::new(4)),
+                Some(ClientId::new(5)),
+                Some(ClientId::new(6))
+            ]
+        );
+        let stats = session.admission_stats();
+        assert_eq!((stats.queued, stats.drained, stats.dropped), (4, 3, 1));
+    }
+
+    #[test]
+    fn a_full_store_stops_the_drain_and_keeps_the_backlog_queued() {
+        let batch = updates(7, 64);
+        let store = ObjectStore::with_capacity(1 << 16);
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .store(store.clone())
+            .admission(AdmissionConfig::bounded(8, 1 << 20))
+            .build()
+            .unwrap();
+        // The round holds four small client-encoded updates; three dense
+        // offers, each larger than an encoded one, park behind them.
+        let mut client_codec = UpdateCodec::with_seed(CodecKind::Uniform8, 3);
+        for u in &batch[..4] {
+            let encoded = client_codec.encode(&u.model);
+            session
+                .ingest(Update::encoded(u.client.unwrap(), encoded, u.samples))
+                .unwrap();
+        }
+        for u in &batch[4..] {
+            session.try_ingest(Update::Dense(u.clone())).unwrap();
+        }
+        assert_eq!(session.queued_updates(), 3);
+        // Fill the store: a departure then frees less than a dense offer
+        // needs, so its refill fails on capacity.
+        let stats = store.stats();
+        let filler = store
+            .put(vec![
+                0u8;
+                (stats.capacity_bytes - stats.allocated_bytes) as usize
+            ])
+            .unwrap();
+        assert!(session.depart_client(ClientId::new(0)));
+        // That one offer is dropped; the two behind it stay queued instead
+        // of failing the same way.
+        assert_eq!(session.queued_updates(), 2);
+        let stats = session.admission_stats();
+        assert_eq!((stats.queued, stats.drained, stats.dropped), (3, 0, 1));
+        // With room again, the next drain fills the round from them.
+        store.recycle(&filler).unwrap();
+        assert!(session.depart_client(ClientId::new(1)));
+        assert_eq!(session.queued_updates(), 0);
+        assert_eq!(
+            session.round_clients(),
+            vec![
+                Some(ClientId::new(2)),
+                Some(ClientId::new(3)),
+                Some(ClientId::new(5)),
+                Some(ClientId::new(6))
+            ]
+        );
+        let stats = session.admission_stats();
+        assert_eq!((stats.queued, stats.drained, stats.dropped), (3, 2, 1));
     }
 
     #[test]

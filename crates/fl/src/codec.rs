@@ -220,9 +220,44 @@ impl<'a> EncodedView<'a> {
         })
     }
 
+    /// Validates wire bytes in either form an update travels in: the
+    /// self-describing encoded string when `encoded` (see
+    /// [`EncodedView::parse`]), headerless dense `f32` bytes otherwise (see
+    /// [`EncodedView::parse_dense`]).
+    ///
+    /// # Errors
+    /// Returns [`LiflError::Codec`] on a malformed payload.
+    pub fn parse_wire(bytes: &'a [u8], encoded: bool) -> Result<Self> {
+        if encoded {
+            Self::parse(bytes)
+        } else {
+            Self::parse_dense(bytes)
+        }
+    }
+
+    /// Validates a headerless dense little-endian `f32` payload arriving
+    /// from outside the process and wraps it like
+    /// [`EncodedView::identity_over`]: the check every dense wire ingress
+    /// runs before storing the bytes.
+    ///
+    /// # Errors
+    /// Returns [`LiflError::Codec`] when the length is not a whole number of
+    /// `f32`s (or exceeds the `u32` dimension range).
+    pub fn parse_dense(payload: &'a [u8]) -> Result<Self> {
+        if !payload.len().is_multiple_of(4) || payload.len() / 4 > u32::MAX as usize {
+            return Err(LiflError::Codec(format!(
+                "dense payload length {} is not a whole number of f32 values",
+                payload.len()
+            )));
+        }
+        Ok(Self::identity_over(payload))
+    }
+
     /// Wraps a headerless dense little-endian `f32` payload (the pre-codec
     /// `ObjectStore::put_f32` representation) as an `Identity` view, so dense
-    /// and encoded payloads share one fused fold path.
+    /// and encoded payloads share one fused fold path. Trailing bytes short
+    /// of a whole `f32` are ignored; payloads from outside the process go
+    /// through [`EncodedView::parse_dense`] first.
     pub fn identity_over(payload: &'a [u8]) -> Self {
         let dim = (payload.len() / 4) as u32;
         EncodedView {
@@ -738,6 +773,22 @@ mod tests {
         bytes[0] = 1;
         bytes.pop(); // truncated payload
         assert!(EncodedUpdate::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn dense_payloads_must_hold_whole_f32s() {
+        for len in [1usize, 2, 3, 5, 11] {
+            let err = EncodedView::parse_dense(&vec![0u8; len]).unwrap_err();
+            assert!(matches!(err, LiflError::Codec(_)), "{len}: {err:?}");
+        }
+        let payload: Vec<u8> = [1.5f32, -2.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let view = EncodedView::parse_dense(&payload).unwrap();
+        assert_eq!(view.dim(), 2);
+        assert_eq!(view.decode().as_slice(), &[1.5, -2.0]);
+        assert_eq!(EncodedView::parse_dense(&[]).unwrap().dim(), 0);
     }
 
     #[test]

@@ -41,10 +41,21 @@
 //!    private `*_with(..., simd: bool)` dispatcher.
 //! 4. Add a proptest below asserting bitwise equality of the two arms over
 //!    odd lengths and non-finite inputs.
+//!
+//! # Byte views
+//!
+//! [`DenseBytes`] and [`dense_le_bytes`] are not kernels but the one other
+//! piece of `unsafe` in the crate: they expose an `f32` buffer as its
+//! little-endian byte image in place (gated on `target_endian = "little"`;
+//! other targets build the image as one copy), which is how a dense update
+//! moves into the shared-memory store without being copied.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+mod le_view;
 mod scalar;
+
+pub use le_view::{dense_le_bytes, DenseBytes};
 
 use std::sync::OnceLock;
 

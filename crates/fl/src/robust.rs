@@ -222,6 +222,19 @@ impl PolicyFold {
         }
     }
 
+    /// Installs `checkout(dim)` as the running sum of a FedAvg accumulator
+    /// that has none yet, so a runtime can draw it from a `BufferPool`
+    /// instead of letting the first fold allocate. The checked-out buffer
+    /// must be zero-filled. Robust policies (which buffer whole updates) and
+    /// accumulators that already hold a sum leave `checkout` uncalled.
+    pub fn provide_sum(&mut self, dim: usize, checkout: impl FnOnce(usize) -> Vec<f32>) {
+        if let PolicyFold::FedAvg(acc) = self {
+            if acc.weighted_sum.is_empty() {
+                acc.weighted_sum = DenseModel::from_vec(checkout(dim));
+            }
+        }
+    }
+
     /// Folds one update off its zero-copy wire view.
     ///
     /// # Errors

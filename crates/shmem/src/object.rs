@@ -101,11 +101,13 @@ impl SharedObject {
             .collect()
     }
 
-    /// Encodes `values` as a little-endian `f32` payload.
+    /// Encodes `values` as a little-endian `f32` payload: one exact-size
+    /// buffer written in a single pass (a plain copy on little-endian
+    /// targets).
     pub fn encode_f32(values: &[f32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
+        let mut out = vec![0u8; values.len() * 4];
+        for (dst, v) in out.chunks_exact_mut(4).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
         out
     }

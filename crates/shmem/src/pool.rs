@@ -101,9 +101,9 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Checks out an `f32` buffer of exactly `len` elements (contents
-    /// unspecified but initialised). Reuses a pooled buffer when one with
-    /// sufficient capacity exists; allocates otherwise.
+    /// Checks out a zero-filled `f32` buffer of exactly `len` elements
+    /// (aggregators fold straight into it). Reuses a pooled buffer when one
+    /// with sufficient capacity exists; allocates otherwise.
     pub fn checkout_f32(&self, len: usize) -> Vec<f32> {
         let mut inner = self.inner.lock();
         let slot = inner.f32s.iter().rposition(|b| b.capacity() >= len);
@@ -218,14 +218,19 @@ mod tests {
         let ptr = buf.as_ptr();
         pool.checkin_f32(buf);
         assert_eq!(pool.stats().idle_buffers, 1);
-        let again = pool.checkout_f32(64);
-        // Same backing allocation came back (capacity 128 >= 64).
+        let mut again = pool.checkout_f32(64);
+        // Same backing allocation came back (capacity 128 >= 64), zeroed.
         assert_eq!(again.as_ptr(), ptr);
         assert_eq!(again.len(), 64);
+        assert!(again.iter().all(|v| v.to_bits() == 0));
         let stats = pool.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.idle_buffers, 0);
+        // A dirtied buffer comes back zero-filled, at any length it covers.
+        again.fill(7.0);
+        pool.checkin_f32(again);
+        assert!(pool.checkout_f32(100).iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]

@@ -155,7 +155,10 @@ impl ObjectStore {
         Ok(key)
     }
 
-    /// Stores a model-parameter vector, encoding it as little-endian `f32`.
+    /// Stores a model-parameter vector, encoding it as little-endian `f32`
+    /// with one exact-size copy (the borrowed-slice path; an owned dense
+    /// buffer is stored without a copy through [`ObjectStore::put`] and
+    /// `bytes::Bytes::from_owner`).
     ///
     /// # Errors
     /// Same as [`ObjectStore::put`].

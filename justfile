@@ -8,7 +8,7 @@
 default: ci
 
 # Everything CI runs, in CI order.
-ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-check bench-baseline-check bench-ingest-check smoke
+ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-check bench-baseline-check bench-ingest-check smoke perfbench
 
 # Repo invariants (unsafe containment, SAFETY comments, kernel parity,
 # panic freedom, fold determinism, no legacy runtime, justfile↔CI sync) as
@@ -92,6 +92,14 @@ bench-ingest-check:
 smoke:
     cargo run --release -p lifl-examples --example quickstart
     cargo run --release -p lifl-examples --example cluster_federation
+
+# The repository benchmark (BENCHMARK.json, perfbench/) as a gate: its
+# harness unit tests, then a 2-second untraced run of every workload, each of
+# which must exit 0 and print `"correct": true` — so an engine API change
+# that breaks the benchmark fails here, not when the benchmark next runs.
+perfbench:
+    cargo test --manifest-path perfbench/Cargo.toml
+    for w in session-dense-resnet18 cluster-uniform8-2m cluster-streaming-64k; do out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload "$w" --seed 1 --seconds 2 --trace 0) || exit 1; echo "$out" | tail -n 1 | grep -F '"correct": true' || exit 1; done
 
 # Run the multi-node cluster federation demo (sessions composed
 # gateway-to-gateway over Update::RemoteBytes, bit-exactness asserted inline).

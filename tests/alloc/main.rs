@@ -1,5 +1,6 @@
 //! Allocation-counting tier: proves the buffer-pooled aggregation hot path
-//! runs at **zero model-sized heap allocations** per steady-state round.
+//! runs at **zero model-sized heap allocations** per steady-state round
+//! (one, the returned global model, for a whole dense `Session` round).
 //!
 //! A counting [`GlobalAlloc`] shim wraps the system allocator and counts
 //! every allocation (and growing reallocation) of at least
@@ -246,7 +247,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         let wire = sender.get(key).expect("sender get").bytes();
         let update = Update::remote_bytes(wire, 4, encoded);
         // Receive side: one-time payload processing + in-place enqueue.
-        receiver.ingest(top, &update).expect("receiver ingest");
+        receiver.ingest(top, update).expect("receiver ingest");
         let queued = inbox.dequeue().expect("queued hop");
         receiver_store.recycle(&queued.key).expect("recycle");
     };
@@ -265,4 +266,55 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         "steady-state cluster hops must share the sender's buffer, not copy it"
     );
     assert_eq!(receiver_store.stats().live_objects, 0);
+
+    // Phase 5: the dense session data plane. Client buffers move into
+    // shared memory, leaf accumulators cycle through the session's pool and
+    // the top's buffer becomes the report's global model, so a steady-state
+    // two-level identity round makes exactly one model-sized allocation: the
+    // returned global model. Client buffers are built outside the counted
+    // window (they are the callers' allocations, not the round's).
+    use lifl_core::session::SessionBuilder;
+
+    let mut session = SessionBuilder::new()
+        .two_level(2, 2)
+        .build()
+        .expect("dense session");
+    let round_updates = |round: u64| -> Vec<Update> {
+        (0..4u64)
+            .map(|c| {
+                let values: Vec<f32> = (0..DIM)
+                    .map(|d| ((d as u64 * 11 + c * 17 + round) % 79) as f32 * 0.01 - 0.3)
+                    .collect();
+                Update::dense(ClientId::new(c), DenseModel::from_vec(values), c + 1)
+            })
+            .collect()
+    };
+    for round in 0..2 {
+        session
+            .ingest_all(round_updates(round))
+            .expect("warm-up ingest");
+        session.drive().expect("warm-up drive");
+    }
+    for round in 2..12 {
+        let batch = round_updates(round);
+        let before = model_sized_allocs();
+        session.ingest_all(batch).expect("dense ingest");
+        let report = session.drive().expect("dense drive");
+        assert_eq!(
+            model_sized_allocs() - before,
+            1,
+            "a steady-state dense round allocates only the returned global model"
+        );
+        assert_eq!(report.update.model.dim(), DIM);
+        assert_eq!(report.update.samples, 1 + 2 + 3 + 4);
+    }
+    // The pool keeps the two leaf accumulators and nothing else: no client
+    // buffer, no top buffer (that one left with the report).
+    let stats = session.pool().stats();
+    assert!(
+        stats.peak_idle_buffers <= 3,
+        "idle aggregator buffers exceed the station count: {stats:?}"
+    );
+    assert_eq!(stats.idle_buffers, 2, "{stats:?}");
+    assert_eq!(session.store().stats().live_objects, 0);
 }

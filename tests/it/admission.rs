@@ -178,3 +178,111 @@ proptest! {
         }
     }
 }
+
+/// The two streaming backends behind one interface, so the backlog checks
+/// below run against both.
+trait Backlogged {
+    fn offer(&mut self, update: Update) -> lifl_types::Result<AdmissionOutcome>;
+    fn drive_round(&mut self) -> u64;
+    fn pending(&self) -> u64;
+    fn queued(&self) -> usize;
+    fn stats(&self) -> lifl_core::AdmissionStats;
+}
+
+impl Backlogged for lifl_core::session::Session {
+    fn offer(&mut self, update: Update) -> lifl_types::Result<AdmissionOutcome> {
+        self.try_ingest(update)
+    }
+    fn drive_round(&mut self) -> u64 {
+        self.drive().unwrap().updates_ingested
+    }
+    fn pending(&self) -> u64 {
+        self.pending_updates()
+    }
+    fn queued(&self) -> usize {
+        self.queued_updates()
+    }
+    fn stats(&self) -> lifl_core::AdmissionStats {
+        self.admission_stats()
+    }
+}
+
+impl Backlogged for lifl_core::cluster::Cluster {
+    fn offer(&mut self, update: Update) -> lifl_types::Result<AdmissionOutcome> {
+        self.try_ingest(update)
+    }
+    fn drive_round(&mut self) -> u64 {
+        self.drive().unwrap().updates_ingested()
+    }
+    fn pending(&self) -> u64 {
+        self.pending_updates()
+    }
+    fn queued(&self) -> usize {
+        self.queued_updates()
+    }
+    fn stats(&self) -> lifl_core::AdmissionStats {
+        self.admission_stats()
+    }
+}
+
+/// Malformed wire offers against a full round are refused at queue time
+/// with a typed error, and the valid offers queued around them all drain
+/// into the next round instead of being stranded behind the bad one.
+fn malformed_offers_never_strand_the_backlog(backend: &mut dyn Backlogged, capacity: u64) {
+    const DIM: usize = 8;
+    for client in 0..capacity {
+        assert!(backend
+            .offer(Update::Dense(update(client, DIM)))
+            .unwrap()
+            .is_admitted());
+    }
+    let first = capacity;
+    assert!(backend
+        .offer(Update::Dense(update(first, DIM)))
+        .unwrap()
+        .is_queued());
+    let malformed = [
+        // An encoded payload shorter than its descriptor.
+        Update::remote_bytes(vec![1u8, 2, 3], 1, true),
+        // Dense bytes with a ragged tail (not a whole number of f32s).
+        Update::remote_bytes(vec![0u8; DIM * 4 + 3], 1, false),
+    ];
+    for bad in malformed {
+        match backend.offer(bad) {
+            Err(lifl_types::LiflError::Codec(_)) => {}
+            other => panic!("malformed offer must be refused, got {other:?}"),
+        }
+    }
+    assert!(backend
+        .offer(Update::Dense(update(first + 1, DIM)))
+        .unwrap()
+        .is_queued());
+    assert_eq!(backend.queued(), 2);
+
+    assert_eq!(backend.drive_round(), capacity);
+    // Both valid offers made it into the new round; nothing is stranded.
+    assert_eq!(backend.pending(), 2);
+    assert_eq!(backend.queued(), 0);
+    let stats = backend.stats();
+    assert_eq!((stats.queued, stats.drained, stats.dropped), (2, 2, 0));
+}
+
+#[test]
+fn malformed_offers_never_strand_the_session_backlog() {
+    let mut session = SessionBuilder::new()
+        .two_level(2, 2)
+        .admission(AdmissionConfig::bounded(4, 1 << 20))
+        .build()
+        .unwrap();
+    malformed_offers_never_strand_the_backlog(&mut session, 4);
+}
+
+#[test]
+fn malformed_offers_never_strand_the_cluster_backlog() {
+    let mut cluster = lifl_core::cluster::ClusterBuilder::new()
+        .topology(Topology::new(vec![2, 2, 2]).unwrap())
+        .admission(AdmissionConfig::bounded(4, 1 << 20))
+        .build()
+        .unwrap();
+    malformed_offers_never_strand_the_backlog(&mut cluster, 8);
+}

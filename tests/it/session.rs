@@ -233,3 +233,69 @@ fn injected_store_and_pool_are_shared() {
         "shared store saw the payloads"
     );
 }
+
+/// A dense update moved into the session, a clone ingested while the caller
+/// keeps the original, and the same values as borrowed-copy `put_f32` bytes
+/// all store identical bytes, so the three aggregate bit-identically — on
+/// whichever kernel arm this process runs (the `test-scalar` step re-runs
+/// it on the scalar arm). Repeated rounds on each session also cycle the
+/// pooled aggregator buffers.
+#[test]
+fn moved_and_cloned_dense_updates_aggregate_bit_identically() {
+    use lifl_shmem::SharedObject;
+
+    const DIM: usize = 1031; // odd: exercises the kernels' sub-lane tails
+    let bits = |report: &SessionReport| -> Vec<u32> {
+        report
+            .update
+            .model
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    for (topology, shards) in [
+        (Topology::two_level(4, 2), 1),
+        (Topology::two_level(4, 2), 4),
+        (Topology::new(vec![2, 2, 2]).unwrap(), 1),
+    ] {
+        let build = || {
+            SessionBuilder::new()
+                .topology(topology.clone())
+                .shards(shards)
+                .build()
+                .expect("session")
+        };
+        let (mut moved, mut cloned, mut copied) = (build(), build(), build());
+        let kept = updates(8, DIM);
+        for round in 0..3 {
+            moved
+                .ingest_all(updates(8, DIM).into_iter().map(Update::Dense))
+                .expect("moved ingest");
+            cloned
+                .ingest_all(kept.iter().cloned().map(Update::Dense))
+                .expect("cloned ingest");
+            copied
+                .ingest_all(kept.iter().map(|u| {
+                    Update::remote_bytes(
+                        SharedObject::encode_f32(u.model.as_slice()),
+                        u.samples,
+                        false,
+                    )
+                }))
+                .expect("copied ingest");
+            let (a, b, c) = (
+                moved.drive().expect("drive"),
+                cloned.drive().expect("drive"),
+                copied.drive().expect("drive"),
+            );
+            let context = format!("{topology}/{shards} shards/round {round}");
+            assert_eq!(a.update.samples, b.update.samples, "{context}");
+            assert_eq!(a.update.samples, c.update.samples, "{context}");
+            assert_eq!(bits(&a), bits(&b), "moved vs cloned: {context}");
+            assert_eq!(bits(&a), bits(&c), "moved vs put_f32 bytes: {context}");
+        }
+        // The originals the cloned path kept are untouched.
+        assert_eq!(kept, updates(8, DIM));
+    }
+}
