@@ -39,15 +39,14 @@
 //! unchanged — enforced by the re-placement test in `tests/it/driver.rs`)
 //! priced like every other hop through [`CostModel::hop_transfer`].
 
-use crate::admission::AdmissionQueues;
+use crate::front::{Arrival, Lanes, RoundFront};
 use crate::heartbeat::HeartbeatMonitor;
 use crate::hierarchy::EwmaEstimator;
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
 use crate::session::{Session, SessionBuilder, Update, WireExport};
 use lifl_dataplane::{CostModel, DataPlaneKind, TransferCost};
 use lifl_fl::aggregate::ModelUpdate;
-use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
-use lifl_fl::kernels::dense_le_bytes;
+use lifl_fl::codec::ErrorFeedback;
 use lifl_serverless::{FleetConfig, FleetController, FleetDecision};
 use lifl_shmem::{BufferPool, CheckpointStore, StoreStats};
 use lifl_types::{
@@ -482,62 +481,38 @@ impl ClusterBuilder {
             config.validate()?;
         }
         let pool = BufferPool::new();
-        // Under a quorum close, partially filled node subtrees (and a
-        // partially fed global top) must still drive: the quorum — relaxed
-        // to "anything non-empty" — propagates into every child session.
-        let child_admission = match &self.admission {
-            Some(config) if matches!(config.round_close, RoundClose::Quorum { .. }) => {
-                Some(AdmissionConfig {
-                    round_close: RoundClose::Quorum { min_updates: 1 },
-                    ..*config
-                })
-            }
-            _ => None,
-        };
-        let children = (0..nodes)
-            .map(|k| {
-                let mut builder = SessionBuilder::new()
-                    .topology(subtree.clone())
-                    .codec(self.codec)
-                    .shards(self.shards)
-                    .seed(self.seed)
-                    .fold_policy(self.policy)
-                    .node(NodeId::new(k as u64))
-                    .tree_position(0, k)
-                    .pool(pool.clone());
-                if let Some(config) = child_admission {
-                    builder = builder.admission(config);
-                }
-                builder.build()
-            })
-            .collect::<Result<Vec<Session>>>()?;
-        let mut parent_builder = SessionBuilder::new()
-            .topology(Topology::flat(nodes))
+        let front = RoundFront::new(
+            self.codec,
+            self.seed,
+            &pool,
+            self.admission,
+            nodes,
+            RoundClose::Exact,
+        );
+        let node_builder = SessionBuilder::new()
             .codec(self.codec)
             .shards(self.shards)
             .seed(self.seed)
             .fold_policy(self.policy)
+            .pool(pool.clone())
+            .round_close(node_close(front.close()));
+        let children = (0..nodes)
+            .map(|k| node_session(&node_builder, subtree.clone(), k))
+            .collect::<Result<Vec<Session>>>()?;
+        let parent = node_builder
+            .clone()
+            .topology(Topology::flat(nodes))
             .node(NodeId::new(top_node as u64))
             .tree_position(subtree.levels(), 0)
-            .pool(pool.clone());
-        if let Some(config) = child_admission {
-            parent_builder = parent_builder.admission(config);
-        }
-        let parent = parent_builder.build()?;
+            .build()?;
         let faults = match self.faults {
             Some(config) => Some(FaultState::new(config, nodes)?),
             None => None,
         };
-        let admission = self
-            .admission
-            .map(|config| AdmissionQueues::new(config, nodes, pool.clone()));
         let fleet = match self.fleet {
             Some(config) => Some(FleetController::new(config, nodes)?),
             None => None,
         };
-        let feedback = ErrorFeedback::new(
-            UpdateCodec::with_seed(self.codec, self.seed).with_pool(pool.clone()),
-        );
         Ok(Cluster {
             topology: self.topology,
             subtree,
@@ -545,25 +520,17 @@ impl ClusterBuilder {
             placement: self.placement,
             top_node,
             estimators: vec![EwmaEstimator::new(alpha); nodes],
-            node_pending: vec![0; nodes],
             handoff_bytes: 0,
             cost: self.cost,
             dataplane: self.dataplane,
             children,
             parent,
-            feedback,
+            front,
             pool,
             policy: self.policy,
-            shards: self.shards,
-            seed: self.seed,
+            node_builder,
             faults,
-            admission,
-            child_admission,
             fleet,
-            vacancies: Vec::new(),
-            ingested: 0,
-            route_cursor: 0,
-            lifetime_ingested: 0,
         })
     }
 }
@@ -710,36 +677,23 @@ pub struct Cluster {
     placement: TopPlacement,
     top_node: usize,
     estimators: Vec<EwmaEstimator>,
-    node_pending: Vec<u64>,
     handoff_bytes: u64,
     cost: CostModel,
     dataplane: DataPlaneKind,
     children: Vec<Session>,
     parent: Session,
-    feedback: ErrorFeedback,
+    /// The cluster ingress: attribution, error-feedback encode, the
+    /// per-node admission queues and the slot rule over the nodes.
+    front: RoundFront,
     pool: BufferPool,
     policy: FoldPolicy,
-    shards: usize,
-    seed: u64,
+    /// Codec, shards, seed, fold policy, pool and close every node session
+    /// is built (and fleet-resized) with.
+    node_builder: SessionBuilder,
     faults: Option<FaultState>,
-    /// The per-node bounded ingress queues (streaming admission path).
-    admission: Option<AdmissionQueues>,
-    /// The admission configuration child sessions are (re)built with under a
-    /// quorum close, so partially filled subtrees still drive.
-    child_admission: Option<AdmissionConfig>,
     /// The KPA fleet controller re-splitting node subtrees at round
     /// boundaries, when fleet scaling is enabled.
     fleet: Option<FleetController>,
-    /// Nodes with a reclaimed slot from mid-round churn: refilled before the
-    /// round-robin cursor advances, so survivors keep their assignment.
-    vacancies: Vec<usize>,
-    ingested: u64,
-    /// The round-robin position normal ingests route by. Tracks `ingested`
-    /// exactly until a node failure: refilling a restarted node's lost slots
-    /// routes directly to that node without consuming round-robin positions,
-    /// so the survivors' leaf assignment is unchanged.
-    route_cursor: u64,
-    lifetime_ingested: u64,
 }
 
 impl Cluster {
@@ -809,17 +763,14 @@ impl Cluster {
 
     /// Updates ingested into the current (not yet driven) round.
     pub fn pending_updates(&self) -> u64 {
-        self.ingested
+        self.front.pending()
     }
 
     /// Updates one round aggregates across every node subtree. Equals the
     /// built topology's total until fleet scaling re-splits a subtree, after
     /// which it tracks the live per-node shapes.
     pub fn round_capacity(&self) -> usize {
-        self.children
-            .iter()
-            .map(|c| c.topology().total_updates())
-            .sum()
+        capacity(&self.children)
     }
 
     /// Leaf aggregators currently deployed per node, in node order.
@@ -830,26 +781,14 @@ impl Cluster {
             .collect()
     }
 
-    /// The node owning global leaf `leaf`, under the live per-node shapes
-    /// (each node owns a contiguous block of leaves, exactly the built
-    /// split until fleet scaling changes a block's width).
-    fn node_of_leaf(&self, leaf: usize) -> usize {
-        let mut remaining = leaf;
-        for (node, child) in self.children.iter().enumerate() {
-            let leaves = child.topology().leaves();
-            if remaining < leaves {
-                return node;
-            }
-            remaining -= leaves;
-        }
-        self.children.len().saturating_sub(1)
-    }
-
-    /// The node the round-robin cursor routes to next.
-    fn cursor_node(&self) -> usize {
-        let total: usize = self.children.iter().map(|c| c.topology().leaves()).sum();
-        let leaf = (self.route_cursor as usize) % total.max(1);
-        self.node_of_leaf(leaf)
+    /// Splits the cluster into its front and its nodes, the lanes the front
+    /// routes over.
+    fn lanes(&mut self) -> (&mut RoundFront, Nodes<'_>) {
+        let nodes = Nodes {
+            children: &mut self.children,
+            faults: self.faults.as_mut(),
+        };
+        (&mut self.front, nodes)
     }
 
     /// The cluster-wide ingress: routes the update to the node owning the
@@ -866,95 +805,8 @@ impl Cluster {
     /// Same conditions as [`Session::ingest`]. A failed ingest counts
     /// nothing toward the round.
     pub fn ingest(&mut self, update: Update) -> Result<()> {
-        if self.ingested as usize >= self.round_capacity() {
-            if self.admission.is_some() {
-                // Streaming path configured: overflow routes through the
-                // bounded backpressure queues instead of erroring outright.
-                return match self.queue_offer(update)? {
-                    AdmissionOutcome::Rejected { .. } => Err(LiflError::InvalidConfig(
-                        "cluster round is full and the admission queue budget is exhausted"
-                            .to_string(),
-                    )),
-                    _ => Ok(()),
-                };
-            }
-            return Err(LiflError::InvalidConfig(format!(
-                "cluster round is full: topology aggregates {} updates",
-                self.round_capacity()
-            )));
-        }
-        // Refill slots of a restarted node take priority over round-robin:
-        // re-sent updates route straight to the node that lost them, so the
-        // survivors' leaf assignment is untouched by the failure. Vacancies
-        // reclaimed by mid-round churn refill next, for the same reason.
-        let refill_slot = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.refill.iter().position(|&r| r > 0));
-        let vacancy = match refill_slot {
-            Some(_) => None,
-            None => self.vacancies.pop(),
-        };
-        let node = match (refill_slot, vacancy) {
-            (Some(node), _) => node,
-            (None, Some(node)) => node,
-            (None, None) => self.cursor_node(),
-        };
-        // One attribution rule for every representation and node: anonymous
-        // updates take the *cluster*-lifetime arrival index, so residual
-        // slots and fallback ids match the single-session equivalent.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let tracked: ClientId;
-        let update = match update {
-            Update::Dense(mut dense) => {
-                tracked = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    let samples = dense.samples;
-                    self.feedback.encode_update(tracked, dense.model, samples)
-                }
-            }
-            Update::Encoded {
-                client,
-                update,
-                samples,
-            } => {
-                tracked = client.unwrap_or(fallback);
-                Update::Encoded {
-                    client: Some(tracked),
-                    update,
-                    samples,
-                }
-            }
-            other => {
-                tracked = fallback;
-                other
-            }
-        };
-        let outcome = self.children[node].ingest(update);
-        match &outcome {
-            Ok(()) => {
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.node_pending[node] += 1;
-                if refill_slot.is_none() && vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-                if let Some(f) = &mut self.faults {
-                    if refill_slot.is_some() {
-                        f.refill[node] -= 1;
-                    }
-                    f.node_clients[node].push(tracked);
-                }
-            }
-            Err(_) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-            }
-        }
-        outcome
+        let (front, mut nodes) = self.lanes();
+        front.ingest(&mut nodes, update)
     }
 
     /// Ingests a batch of updates in order (see [`Cluster::ingest`]).
@@ -963,176 +815,21 @@ impl Cluster {
     /// Same conditions as [`Cluster::ingest`]; updates before the failing
     /// one stay ingested.
     pub fn ingest_all(&mut self, updates: impl IntoIterator<Item = Update>) -> Result<()> {
-        for update in updates {
-            self.ingest(update)?;
-        }
-        Ok(())
+        let (front, mut nodes) = self.lanes();
+        front.ingest_all(&mut nodes, updates)
     }
 
-    /// The streaming cluster ingress: offers one update and answers with
-    /// typed backpressure. While the round has room the update is admitted
-    /// exactly as [`Cluster::ingest`] would; once the round is full the
-    /// update is parked in the owning node's bounded queue
-    /// (`Queued{depth}`) or, when that queue's slot/byte budget is
-    /// exhausted, turned away (`Rejected{retry_after}`). Queued clients win
-    /// admission into the next round in Oort-utility order. Without a
-    /// [`ClusterBuilder::admission`] configuration there is no backlog and
-    /// overflow is rejected with a zero retry hint.
+    /// The streaming cluster ingress: [`Session::try_ingest`]'s typed
+    /// backpressure at the cluster front, admitting exactly as
+    /// [`Cluster::ingest`] would and parking overflow in one bounded queue
+    /// per node ([`ClusterBuilder::admission`]).
     ///
     /// # Errors
     /// Fails only on store/codec errors; a full round is an outcome, not an
     /// error.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        if (self.ingested as usize) < self.round_capacity() {
-            self.ingest(update)?;
-            return Ok(AdmissionOutcome::Admitted);
-        }
-        if self.admission.is_none() {
-            return Ok(AdmissionOutcome::Rejected {
-                retry_after: SimDuration::ZERO,
-            });
-        }
-        self.queue_offer(update)
-    }
-
-    /// Normalises an overflow update to wire form and parks it in the
-    /// per-node admission queues (the round is full).
-    fn queue_offer(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        // Same attribution and lossy-encode rules as the admitted path, so a
-        // queued-then-drained update flows exactly as a direct ingest would.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let update = match update {
-            Update::Dense(mut dense) => {
-                let client = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    let samples = dense.samples;
-                    self.feedback.encode_update(client, dense.model, samples)
-                }
-            }
-            other => other,
-        };
-        let outcome = match &update {
-            // The model's little-endian byte view goes straight to the
-            // queue, which makes the one copy into its pooled backlog.
-            Update::Dense(dense) => match self.admission.as_mut() {
-                Some(queues) => queues.offer(
-                    dense.client,
-                    &dense_le_bytes(dense.model.as_slice()),
-                    dense.samples,
-                    false,
-                ),
-                None => AdmissionOutcome::Rejected {
-                    retry_after: SimDuration::ZERO,
-                },
-            },
-            Update::Encoded {
-                client,
-                update: encoded,
-                samples,
-            } => {
-                let wire = encoded.to_bytes();
-                match self.admission.as_mut() {
-                    Some(queues) => queues.offer(*client, &wire, *samples, true),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                }
-            }
-            Update::RemoteBytes {
-                wire,
-                weight,
-                encoded,
-            } => {
-                // Malformed payloads are refused at queue time, exactly as
-                // the session's queue and the direct ingress refuse them.
-                EncodedView::parse_wire(wire, *encoded)?;
-                match self.admission.as_mut() {
-                    Some(queues) => queues.offer(None, wire, *weight, *encoded),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                }
-            }
-        };
-        self.feedback.recycle_update(update);
-        Ok(outcome)
-    }
-
-    /// Drains queued offers into the open round — globally best first
-    /// (utility desc, arrival asc) — until the round is full or the backlog
-    /// is empty. Called automatically when a driven round opens the next
-    /// one.
-    ///
-    /// An offer that fails to enter the round is dropped (and counted in
-    /// [`AdmissionStats::dropped`](crate::admission::AdmissionStats)). After
-    /// a payload error ([`LiflError::Codec`]) the valid offers behind it
-    /// still drain; after any other error the drain stops and they stay
-    /// queued.
-    fn drain_backlog(&mut self) {
-        while (self.ingested as usize) < self.round_capacity() {
-            let Some(offer) = self.admission.as_mut().and_then(AdmissionQueues::take_best) else {
-                break;
-            };
-            let Err(error) =
-                self.ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
-            else {
-                continue;
-            };
-            if let Some(queues) = self.admission.as_mut() {
-                queues.record_failed_drain();
-            }
-            // A payload the codec refuses can never enter a round, so the
-            // valid offers behind it keep draining. Any other failure (a full
-            // store, a full subtree) would hit every later offer the same
-            // way: stop, and leave them queued for the next drain.
-            if !matches!(error, LiflError::Codec(_)) {
-                break;
-            }
-        }
-    }
-
-    /// Admits a payload already in wire form into the round, preserving its
-    /// client attribution (the drain half of the admission path). Routing
-    /// follows the same vacancy-then-round-robin rule as
-    /// [`Cluster::ingest`].
-    fn ingest_prepared(
-        &mut self,
-        client: Option<ClientId>,
-        payload: Vec<u8>,
-        weight: u64,
-        encoded: bool,
-    ) -> Result<()> {
-        if self.ingested as usize >= self.round_capacity() {
-            return Err(LiflError::InvalidConfig(format!(
-                "cluster round is full: topology aggregates {} updates",
-                self.round_capacity()
-            )));
-        }
-        let vacancy = self.vacancies.pop();
-        let node = vacancy.unwrap_or_else(|| self.cursor_node());
-        let tracked = client.unwrap_or(ClientId::new(self.lifetime_ingested));
-        match self.children[node].ingest_prepared(client, payload, weight, encoded) {
-            Ok(()) => {
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.node_pending[node] += 1;
-                if vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-                if let Some(f) = &mut self.faults {
-                    f.node_clients[node].push(tracked);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-                Err(e)
-            }
-        }
+        let (front, mut nodes) = self.lanes();
+        front.try_ingest(&mut nodes, update)
     }
 
     /// Mid-round churn: removes a departed client's update from the current
@@ -1143,10 +840,7 @@ impl Cluster {
     /// position. Returns `true` if anything (slot or queued offer) was
     /// reclaimed.
     pub fn depart_client(&mut self, client: ClientId) -> bool {
-        let mut departed = self
-            .admission
-            .as_mut()
-            .is_some_and(|queues| queues.remove_client(client) > 0);
+        let mut departed = self.front.remove_client(client);
         for node in 0..self.children.len() {
             let before = self.children[node].pending_updates();
             if !self.children[node].depart_client(client) {
@@ -1157,11 +851,7 @@ impl Cluster {
                 continue;
             }
             departed = true;
-            self.ingested = self.ingested.saturating_sub(removed);
-            self.node_pending[node] = self.node_pending[node].saturating_sub(removed);
-            for _ in 0..removed {
-                self.vacancies.push(node);
-            }
+            self.front.reclaim(node, removed);
             if let Some(f) = &mut self.faults {
                 let mut to_drop = removed;
                 f.node_clients[node].retain(|c| {
@@ -1174,46 +864,39 @@ impl Cluster {
                 });
             }
         }
-        // Refill reclaimed slots from the backlog (highest utility first).
-        self.drain_backlog();
+        // Refill reclaimed slots from the backlog (highest utility first),
+        // through the same slot rule as a direct ingest.
+        let (front, mut nodes) = self.lanes();
+        front.drain_backlog(&mut nodes);
         departed
     }
 
     /// Records a client's Oort utility score for admission priority (no-op
     /// without an admission configuration).
     pub fn record_client_utility(&mut self, client: ClientId, utility: f64) {
-        if let Some(queues) = self.admission.as_mut() {
-            queues.record_utility(client, utility);
-        }
+        self.front.record_client_utility(client, utility);
     }
 
     /// The admission configuration, when the streaming path is enabled.
     pub fn admission_config(&self) -> Option<&AdmissionConfig> {
-        self.admission.as_ref().map(AdmissionQueues::config)
+        self.front.admission_config()
     }
 
     /// Occupancy of every per-node admission queue, in node order (empty
     /// without an admission configuration).
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.admission
-            .as_ref()
-            .map_or_else(Vec::new, |q| q.depths())
+        self.front.queue_depths()
     }
 
     /// Total updates parked in the admission queues.
     pub fn queued_updates(&self) -> usize {
-        self.admission
-            .as_ref()
-            .map_or(0, AdmissionQueues::total_queued)
+        self.front.queued_updates()
     }
 
     /// Lifetime admission counters (zero-default without an admission
     /// configuration).
     pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        self.admission
-            .as_ref()
-            .map(AdmissionQueues::stats)
-            .unwrap_or_default()
+        self.front.admission_stats()
     }
 
     /// Whether KPA fleet scaling is enabled.
@@ -1271,7 +954,8 @@ impl Cluster {
                 });
             }
         }
-        self.validate_round()?;
+        let capacity = self.round_capacity();
+        self.front.validate_close(&self.topology, capacity)?;
         let resuming = self.faults.as_ref().is_some_and(|f| f.placed);
         let replacement = if resuming { None } else { self.place_top() };
         if let Some(f) = &mut self.faults {
@@ -1280,10 +964,7 @@ impl Cluster {
         match self.drive_hops() {
             Ok(mut report) => {
                 report.replacement = replacement;
-                self.ingested = 0;
-                self.route_cursor = 0;
-                self.node_pending.fill(0);
-                self.vacancies.clear();
+                self.front.reset_round();
                 // Next move's handoff ships the warm global intermediate.
                 self.handoff_bytes = report.update.model.dim() as u64 * 4;
                 if let Some(f) = &mut self.faults {
@@ -1296,7 +977,8 @@ impl Cluster {
                 // the (possibly resized) fresh round.
                 report.queue_depths = self.queue_depths();
                 report.scaling = self.apply_fleet_scaling();
-                self.drain_backlog();
+                let (front, mut nodes) = self.lanes();
+                front.drain_backlog(&mut nodes);
                 Ok(report)
             }
             Err(error) => {
@@ -1316,50 +998,6 @@ impl Cluster {
         }
     }
 
-    /// Validates the round is closable: exact fill by default, the
-    /// configured quorum under a [`RoundClose::Quorum`] admission close.
-    fn validate_round(&self) -> Result<()> {
-        let capacity = self.round_capacity();
-        let close = self
-            .admission
-            .as_ref()
-            .map_or(RoundClose::Exact, |q| q.config().round_close);
-        match close {
-            RoundClose::Exact => {
-                if capacity == self.topology.total_updates() {
-                    self.topology.validate(self.ingested as usize)
-                } else if self.ingested as usize != capacity {
-                    // Fleet scaling has re-split a subtree: the built
-                    // topology's error message would mislead, so report
-                    // against the live capacity.
-                    Err(LiflError::InvalidConfig(format!(
-                        "cluster round incomplete: the scaled fleet aggregates {} updates, got {}",
-                        capacity, self.ingested
-                    )))
-                } else {
-                    Ok(())
-                }
-            }
-            quorum @ RoundClose::Quorum { .. } => {
-                let required = quorum.required_updates(capacity);
-                if (self.ingested as usize) < required {
-                    return Err(LiflError::InvalidConfig(format!(
-                        "quorum not met: round has {} of {} required updates",
-                        self.ingested, required
-                    )));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Whether the admission close lets partially filled subtrees drive.
-    fn quorum_close(&self) -> bool {
-        self.admission
-            .as_ref()
-            .is_some_and(|q| matches!(q.config().round_close, RoundClose::Quorum { .. }))
-    }
-
     /// Applies the KPA fleet decisions of one round boundary: every node
     /// whose desired leaf count changed gets its subtree re-split to a
     /// two-level tree of that many leaves at the node's existing leaf
@@ -1369,8 +1007,8 @@ impl Cluster {
         if self.fleet.is_none() {
             return Vec::new();
         }
-        let depths: Vec<f64> = match self.admission.as_ref() {
-            Some(queues) => queues.depths().iter().map(|&d| d as f64).collect(),
+        let depths: Vec<f64> = match self.front.admission_config() {
+            Some(_) => self.queue_depths().iter().map(|&d| d as f64).collect(),
             None => vec![0.0; self.children.len()],
         };
         let current: Vec<u32> = self
@@ -1408,19 +1046,7 @@ impl Cluster {
     fn resize_node(&mut self, node: usize, desired_leaves: usize) -> Result<()> {
         let fan_in = self.children[node].topology().fan_in(0);
         let topology = Topology::two_level(desired_leaves.max(1), fan_in);
-        let mut builder = SessionBuilder::new()
-            .topology(topology)
-            .codec(self.codec)
-            .shards(self.shards)
-            .seed(self.seed)
-            .fold_policy(self.policy)
-            .node(NodeId::new(node as u64))
-            .tree_position(0, node)
-            .pool(self.pool.clone());
-        if let Some(config) = self.child_admission {
-            builder = builder.admission(config);
-        }
-        self.children[node] = builder.build()?;
+        self.children[node] = node_session(&self.node_builder, topology, node)?;
         Ok(())
     }
 
@@ -1429,8 +1055,8 @@ impl Cluster {
     /// moves the top to the most-loaded node unless the incumbent already
     /// ties it. Returns the priced handoff when a move happened.
     fn place_top(&mut self) -> Option<TopMove> {
-        for (estimator, pending) in self.estimators.iter_mut().zip(&self.node_pending) {
-            estimator.observe(*pending as f64);
+        for (estimator, child) in self.estimators.iter_mut().zip(&self.children) {
+            estimator.observe(child.pending_updates() as f64);
         }
         if !matches!(self.placement, TopPlacement::MostLoaded { .. }) {
             return None;
@@ -1472,23 +1098,17 @@ impl Cluster {
             nodes = Vec::with_capacity(self.children.len());
         }
         for k in 0..self.children.len() {
-            if let Some(f) = &self.faults {
+            if let Some(f) = &mut self.faults {
                 if f.hop_done[k] {
                     // Retry-with-dedup: this node's intermediate already
                     // reached the global top on an earlier attempt; never
                     // re-ship (or re-price) the hop.
-                    // lifl-lint: allow(panic) — re-borrow mutably inside the
-                    // enclosing `if let Some(f) = &self.faults` guard.
-                    let f = self.faults.as_mut().expect("checked above");
                     f.stats.deduped_hops += 1;
                     continue;
                 }
                 if let Some((victim, after_hops)) = f.scheduled {
                     let completed = f.hop_done.iter().filter(|&&d| d).count() as u64;
                     if completed >= after_hops {
-                        // lifl-lint: allow(panic) — re-borrow mutably inside
-                        // the enclosing `if let Some(f) = &self.faults` guard.
-                        let f = self.faults.as_mut().expect("checked above");
                         f.scheduled = None;
                         f.partial_hops = hops;
                         f.partial_nodes = nodes;
@@ -1496,7 +1116,9 @@ impl Cluster {
                     }
                 }
             }
-            if self.children[k].pending_updates() == 0 && self.quorum_close() {
+            if self.children[k].pending_updates() == 0
+                && matches!(self.front.close(), RoundClose::Quorum { .. })
+            {
                 // A quorum round can leave whole subtrees empty: no export,
                 // no hop, nothing for the top to fold from this node.
                 continue;
@@ -1521,9 +1143,8 @@ impl Cluster {
                 same_node,
                 cost,
             });
-            // The export is safely folded at the top: from here on a kill of
-            // this node loses nothing of the round.
-            self.node_pending[k] = 0;
+            // The export is safely folded at the top (and the node's round
+            // is empty): from here on a kill of this node loses nothing.
             if let Some(f) = &mut self.faults {
                 f.hop_done[k] = true;
                 f.node_clients[k].clear();
@@ -1558,10 +1179,7 @@ impl Cluster {
             child.discard_round();
         }
         self.parent.discard_round();
-        self.ingested = 0;
-        self.route_cursor = 0;
-        self.node_pending.fill(0);
-        self.vacancies.clear();
+        self.front.reset_round();
         if let Some(f) = &mut self.faults {
             f.clear_round();
         }
@@ -1602,13 +1220,7 @@ impl Cluster {
     /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
     /// enabled or the node is outside the cluster.
     pub fn node_heartbeat(&mut self, node: NodeId, now: SimTime) -> Result<()> {
-        let nodes = self.children.len();
-        let f = self.require_faults()?;
-        if node.index() as usize >= nodes {
-            return Err(LiflError::InvalidConfig(format!(
-                "node {node:?} outside the cluster's {nodes} nodes"
-            )));
-        }
+        let (_, f) = self.fault_node(node)?;
         f.advance_clock(now);
         f.monitor.heartbeat(ClientId::new(node.index()), now);
         Ok(())
@@ -1656,14 +1268,7 @@ impl Cluster {
     /// enabled or the node is outside the cluster, and a checkpoint-restore
     /// error when a top-host kill finds a corrupt checkpoint.
     pub fn inject_node_failure(&mut self, node: NodeId) -> Result<NodeKill> {
-        let nodes = self.children.len();
-        self.require_faults()?;
-        let index = node.index() as usize;
-        if index >= nodes {
-            return Err(LiflError::InvalidConfig(format!(
-                "node {node:?} outside the cluster's {nodes} nodes"
-            )));
-        }
+        let (index, _) = self.fault_node(node)?;
         self.kill_checked(index)
     }
 
@@ -1675,14 +1280,8 @@ impl Cluster {
     /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
     /// enabled or the node is outside the cluster.
     pub fn schedule_node_failure(&mut self, node: NodeId, after_hops: u64) -> Result<()> {
-        let nodes = self.children.len();
-        let f = self.require_faults()?;
-        if node.index() as usize >= nodes {
-            return Err(LiflError::InvalidConfig(format!(
-                "node {node:?} outside the cluster's {nodes} nodes"
-            )));
-        }
-        f.scheduled = Some((node.index() as usize, after_hops));
+        let (index, f) = self.fault_node(node)?;
+        f.scheduled = Some((index, after_hops));
         Ok(())
     }
 
@@ -1712,14 +1311,28 @@ impl Cluster {
         })
     }
 
+    /// The fault state and the index of `node`, which must lie inside the
+    /// cluster.
+    fn fault_node(&mut self, node: NodeId) -> Result<(usize, &mut FaultState)> {
+        let nodes = self.children.len();
+        let index = node.index() as usize;
+        let f = self.require_faults()?;
+        if index >= nodes {
+            return Err(LiflError::InvalidConfig(format!(
+                "node {node:?} outside the cluster's {nodes} nodes"
+            )));
+        }
+        Ok((index, f))
+    }
+
     /// Kills `node` (bounds already checked), translating the resulting
     /// error into the [`NodeKill`] report the injection APIs return.
     fn kill_checked(&mut self, node: usize) -> Result<NodeKill> {
         let top_host = node == self.top_node;
         let lost_updates = if top_host {
-            self.ingested
+            self.front.pending()
         } else {
-            self.node_pending[node]
+            self.children[node].pending_updates()
         };
         match self.kill_node(node) {
             LiflError::NodeFailure { .. } | LiflError::AggregatorFailure { .. } => Ok(NodeKill {
@@ -1738,12 +1351,11 @@ impl Cluster {
         if node == self.top_node {
             return self.kill_top(node);
         }
-        let lost = self.node_pending[node];
+        let lost = self.children[node].pending_updates();
         // The crashed process takes its subtree's in-flight round with it;
         // the restarted (stateless) session starts from an empty round.
         self.children[node].discard_round();
-        self.ingested -= lost;
-        self.node_pending[node] = 0;
+        self.front.forget(lost);
         // lifl-lint: allow(panic) — node kills are only injectable through
         // the fault harness, which populates `self.faults` at construction.
         let f = self.faults.as_mut().expect("kill paths require faults");
@@ -1766,7 +1378,7 @@ impl Cluster {
     /// replacement runtime restores the latest checkpoint, priced as a
     /// network transfer from the persistent store.
     fn kill_top(&mut self, node: usize) -> LiflError {
-        let lost = self.ingested;
+        let lost = self.front.pending();
         let lost_clients: u64 = self
             .faults
             .as_ref()
@@ -1794,6 +1406,92 @@ impl Cluster {
             }
             Err(error) => error,
         }
+    }
+}
+
+/// A cluster's nodes as the front's lanes: the state the store step of an
+/// admitted update touches, borrowed apart from the front.
+struct Nodes<'a> {
+    children: &'a mut [Session],
+    faults: Option<&'a mut FaultState>,
+}
+
+impl Lanes for Nodes<'_> {
+    const NAME: &'static str = "cluster";
+
+    fn capacity(&self) -> usize {
+        capacity(self.children)
+    }
+
+    /// Global leaf `cursor % leaves`, under the live per-node shapes (each
+    /// node owns a contiguous block of leaves, exactly the built split until
+    /// fleet scaling changes a block's width).
+    fn cursor_lane(&self, cursor: u64) -> usize {
+        let total: usize = self.children.iter().map(|c| c.topology().leaves()).sum();
+        let mut remaining = (cursor as usize) % total.max(1);
+        for (node, child) in self.children.iter().enumerate() {
+            let leaves = child.topology().leaves();
+            if remaining < leaves {
+                return node;
+            }
+            remaining -= leaves;
+        }
+        self.children.len().saturating_sub(1)
+    }
+
+    /// A restarted node's lost slots: re-sent (or drained) updates route
+    /// straight to the node that lost them, so the survivors' leaf
+    /// assignment is untouched by the failure.
+    fn priority_lane(&self) -> Option<usize> {
+        self.faults.as_ref()?.refill.iter().position(|&r| r > 0)
+    }
+
+    fn admit(
+        &mut self,
+        node: usize,
+        priority: bool,
+        client: ClientId,
+        arrival: Arrival,
+        _feedback: &ErrorFeedback,
+    ) -> Result<()> {
+        let child = &mut self.children[node];
+        match arrival {
+            Arrival::Update(update) => child.ingest(update)?,
+            Arrival::Prepared(offer) => child.ingest_prepared(offer)?,
+        }
+        if let Some(f) = self.faults.as_deref_mut() {
+            if priority {
+                f.refill[node] -= 1;
+            }
+            f.node_clients[node].push(client);
+        }
+        Ok(())
+    }
+}
+
+/// Updates one round aggregates across the given node subtrees.
+fn capacity(children: &[Session]) -> usize {
+    children.iter().map(|c| c.topology().total_updates()).sum()
+}
+
+/// The session driving node `node`'s `subtree`, placed at its branch of the
+/// global tree.
+fn node_session(builder: &SessionBuilder, subtree: Topology, node: usize) -> Result<Session> {
+    builder
+        .clone()
+        .topology(subtree)
+        .node(NodeId::new(node as u64))
+        .tree_position(0, node)
+        .build()
+}
+
+/// The close node and top sessions drive with: under a quorum-closed
+/// cluster round, partially filled subtrees (and a partially fed global
+/// top) must still drive, so the quorum relaxes to "anything non-empty".
+fn node_close(close: RoundClose) -> RoundClose {
+    match close {
+        RoundClose::Quorum { .. } => RoundClose::Quorum { min_updates: 1 },
+        RoundClose::Exact => RoundClose::Exact,
     }
 }
 
@@ -2417,8 +2115,8 @@ mod tests {
         // Queue-time validation refuses malformed payloads, so park one
         // straight in the queues to model an offer that fails at drain time.
         cluster
-            .admission
-            .as_mut()
+            .front
+            .queues_mut()
             .unwrap()
             .offer(None, &[1, 2, 3], 1, true);
         for update in &batch[9..] {
@@ -2546,6 +2244,56 @@ mod tests {
         }
         // Departing an unknown client reclaims nothing.
         assert!(!cluster.depart_client(ClientId::new(99)));
+    }
+
+    #[test]
+    fn backlog_drained_during_a_refill_lands_on_the_restarted_node() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .fault_tolerance(FaultToleranceConfig::default())
+            .build()
+            .unwrap();
+        let batch = updates(10, 16);
+        for (i, update) in batch.iter().enumerate() {
+            let outcome = cluster.try_ingest(Update::Dense(update.clone())).unwrap();
+            assert_eq!(outcome.is_admitted(), i < 8, "offer {i}: {outcome:?}");
+        }
+        assert_eq!(cluster.queued_updates(), 2);
+        let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
+        assert_eq!(kill.lost_updates, 4);
+        // Client 0 leaves node 0 while node 1 waits for four refills: both
+        // queued offers drain, and they follow the refill like a direct
+        // ingest would instead of overfilling node 0.
+        assert!(cluster.depart_client(ClientId::new(0)));
+        let stats = cluster.admission_stats();
+        assert_eq!((stats.drained, stats.dropped), (2, 0));
+        assert_eq!(cluster.queued_updates(), 0);
+        assert_eq!(
+            cluster.node_sessions()[1].round_clients(),
+            vec![Some(ClientId::new(8)), Some(ClientId::new(9))]
+        );
+        assert_eq!(cluster.pending_updates(), 5);
+        // The lost clients re-send: two finish node 1's refill, one takes
+        // node 0's vacancy, and the last one parks because the round is full.
+        let lost = cluster.take_lost_clients();
+        assert_eq!(lost.len(), 4);
+        let outcomes: Vec<AdmissionOutcome> = lost
+            .iter()
+            .map(|c| {
+                let update = batch[c.index() as usize].clone();
+                cluster.try_ingest(Update::Dense(update)).unwrap()
+            })
+            .collect();
+        assert!(outcomes[..3].iter().all(AdmissionOutcome::is_admitted));
+        assert!(outcomes[3].is_queued(), "{outcomes:?}");
+        let report = cluster.drive().unwrap();
+        assert_eq!(report.updates_ingested(), 8);
+        let parked = lost[3].index();
+        let expected: u64 = (1..10u64).filter(|&c| c != parked).map(|c| c + 1).sum();
+        assert_eq!(report.update.samples, expected);
+        // The parked re-send opens the next round.
+        assert_eq!(cluster.pending_updates(), 1);
     }
 
     #[test]

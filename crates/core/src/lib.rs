@@ -50,6 +50,7 @@ pub mod cluster;
 pub mod coordinator;
 pub mod eager;
 pub mod fleet;
+mod front;
 pub mod gateway;
 pub mod gateway_scaler;
 pub mod heartbeat;

@@ -24,18 +24,18 @@
 
 #![deny(missing_docs)]
 
-use crate::admission::AdmissionQueues;
+use crate::admission::QueuedOffer;
 use crate::aggregator::AggregatorRuntime;
+use crate::front::{Arrival, Lanes, RoundFront};
 use crate::gateway::Gateway;
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
-use lifl_fl::kernels::dense_le_bytes;
 use lifl_fl::DenseModel;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{BufferPool, InPlaceQueue, ObjectStore, StoreStats};
 use lifl_types::{
     AdmissionConfig, AdmissionOutcome, ClientId, CodecKind, FoldPolicy, LiflError, NodeId, Result,
-    RoundClose, SimDuration, Topology, WIRE_HEADER_BYTES,
+    RoundClose, Topology, WIRE_HEADER_BYTES,
 };
 
 pub use lifl_fl::update::Update;
@@ -72,6 +72,7 @@ pub struct SessionBuilder {
     store: Option<ObjectStore>,
     pool: Option<BufferPool>,
     admission: Option<AdmissionConfig>,
+    close: RoundClose,
 }
 
 impl Default for SessionBuilder {
@@ -97,6 +98,7 @@ impl SessionBuilder {
             store: None,
             pool: None,
             admission: None,
+            close: RoundClose::Exact,
         }
     }
 
@@ -218,6 +220,14 @@ impl SessionBuilder {
         self
     }
 
+    /// Sets the close policy of a session without admission queues: a
+    /// cluster's node and top sessions take the quorum of a quorum-closed
+    /// cluster round this way. [`SessionBuilder::admission`]'s close wins.
+    pub(crate) fn round_close(mut self, close: RoundClose) -> Self {
+        self.close = close;
+        self
+    }
+
     /// Builds the session: registers one gateway inbox per leaf aggregator
     /// and wires the error-feedback encoder to the scratch pool.
     ///
@@ -249,14 +259,15 @@ impl SessionBuilder {
                 ))
             })
             .collect();
-        let feedback = ErrorFeedback::new(
-            UpdateCodec::with_seed(self.codec, self.seed).with_pool(pool.clone()),
+        let front = RoundFront::new(
+            self.codec,
+            self.seed,
+            &pool,
+            self.admission,
+            leaves,
+            self.close,
         );
-        let admission = self
-            .admission
-            .map(|config| AdmissionQueues::new(config, leaves, pool.clone()));
         Ok(Session {
-            topology: self.topology,
             codec: self.codec,
             shards: self.shards,
             policy: self.policy,
@@ -264,17 +275,19 @@ impl SessionBuilder {
             branch: self.branch,
             store,
             pool,
-            gateway,
             leaf_inboxes,
-            feedback,
-            admission,
-            ingested: 0,
-            lifetime_ingested: 0,
-            ingress_wire_bytes: 0,
-            round_keys: Vec::new(),
-            round_entries: Vec::new(),
-            route_cursor: 0,
-            vacancies: Vec::new(),
+            front,
+            leaves: Leaves {
+                capacity: self.topology.total_updates(),
+                count: leaves,
+                level_offset: self.level_offset,
+                first_leaf: self.branch * leaves,
+                gateway,
+                ingress_wire_bytes: 0,
+                round_keys: Vec::new(),
+                round_entries: Vec::new(),
+            },
+            topology: self.topology,
         })
     }
 }
@@ -365,33 +378,11 @@ pub struct Session {
     branch: usize,
     store: ObjectStore,
     pool: BufferPool,
-    gateway: Gateway,
     leaf_inboxes: Vec<InPlaceQueue>,
-    feedback: ErrorFeedback,
-    /// Bounded admission queues, when the streaming path is configured (see
-    /// [`SessionBuilder::admission`]).
-    admission: Option<AdmissionQueues>,
-    ingested: u64,
-    /// Successful ingests over the session's whole life (never reset):
-    /// the fallback client-id attribution for anonymous updates.
-    lifetime_ingested: u64,
-    ingress_wire_bytes: u64,
-    /// Every object key the current round has put into the store (client
-    /// payloads at ingest, intermediates per level): recycled when the round
-    /// ends so a long-lived session does not grow the store round over round.
-    round_keys: Vec<lifl_types::ObjectKey>,
-    /// Per-ingest bookkeeping for the current round (producer, payload key,
-    /// wire bytes, target leaf): what mid-round churn needs to reclaim a
-    /// departed client's slot.
-    round_entries: Vec<RoundEntry>,
-    /// Round-robin position of the next non-vacancy ingest. Equal to
-    /// `ingested` until churn opens a vacancy, so legacy routing is
-    /// bit-exact.
-    route_cursor: u64,
-    /// Leaves vacated by departed clients, refilled before the round-robin
-    /// cursor advances (so a replacement lands on the departed client's leaf
-    /// and survivors keep their assignment).
-    vacancies: Vec<usize>,
+    /// Attribution, error-feedback encode, admission queues and the slot
+    /// rule over the leaves.
+    front: RoundFront,
+    leaves: Leaves,
 }
 
 /// Per-ingest bookkeeping: enough to reclaim one client's slot mid-round.
@@ -401,6 +392,86 @@ struct RoundEntry {
     key: lifl_types::ObjectKey,
     wire_bytes: u64,
     leaf: usize,
+}
+
+/// A session's leaves as the front's lanes, with the gateway that stores
+/// into them and the current round's record of what it stored.
+#[derive(Debug)]
+struct Leaves {
+    capacity: usize,
+    count: usize,
+    level_offset: usize,
+    /// This session's first leaf in the enclosing cluster-spanning tree.
+    first_leaf: usize,
+    gateway: Gateway,
+    ingress_wire_bytes: u64,
+    /// Every object key the current round has put into the store (client
+    /// payloads at ingest, intermediates per level): recycled when the round
+    /// ends so a long-lived session does not grow the store round over round.
+    round_keys: Vec<lifl_types::ObjectKey>,
+    /// Per-ingest bookkeeping for the current round: what mid-round churn
+    /// needs to reclaim a departed client's slot.
+    round_entries: Vec<RoundEntry>,
+}
+
+impl Lanes for Leaves {
+    const NAME: &'static str = "session";
+
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    fn cursor_lane(&self, cursor: u64) -> usize {
+        (cursor as usize) % self.count
+    }
+
+    fn admit(
+        &mut self,
+        leaf: usize,
+        _priority: bool,
+        _client: ClientId,
+        arrival: Arrival,
+        feedback: &ErrorFeedback,
+    ) -> Result<()> {
+        let target = crate::aggregator::position_id(self.level_offset, self.first_leaf + leaf);
+        let (queued, wire_bytes) = match arrival {
+            Arrival::Update(update) => {
+                let wire_bytes = update.wire_bytes();
+                // A dense update's buffer moves into shared memory (no
+                // copy); an encoded one's body returns to the scratch pool
+                // once stored.
+                let queued = self
+                    .gateway
+                    .ingest_recycling(target, update, |encoded| feedback.recycle(encoded))?;
+                (queued, wire_bytes)
+            }
+            Arrival::Prepared(offer) => {
+                let len = offer.payload.len() as u64;
+                let wire_bytes = if offer.encoded {
+                    len.saturating_sub(WIRE_HEADER_BYTES)
+                } else {
+                    len
+                };
+                let queued = self.gateway.ingest_prepared(
+                    target,
+                    offer.client,
+                    offer.payload,
+                    offer.weight,
+                    offer.encoded,
+                )?;
+                (queued, wire_bytes)
+            }
+        };
+        self.ingress_wire_bytes += wire_bytes;
+        self.round_keys.push(queued.key);
+        self.round_entries.push(RoundEntry {
+            client: queued.producer,
+            key: queued.key,
+            wire_bytes,
+            leaf,
+        });
+        Ok(())
+    }
 }
 
 impl Session {
@@ -443,7 +514,7 @@ impl Session {
 
     /// Updates ingested into the current (not yet driven) round.
     pub fn pending_updates(&self) -> u64 {
-        self.ingested
+        self.front.pending()
     }
 
     /// The single polymorphic ingress: accepts an update in whatever
@@ -467,87 +538,7 @@ impl Session {
     /// standard feedback construction re-absorbs the loss only if the
     /// client keeps sending).
     pub fn ingest(&mut self, update: Update) -> Result<()> {
-        if self.ingested as usize >= self.topology.total_updates() {
-            if self.admission.is_some() {
-                // Streaming path configured: overflow routes through the
-                // bounded backpressure queues instead of erroring outright.
-                return match self.queue_offer(update)? {
-                    AdmissionOutcome::Rejected { .. } => Err(LiflError::InvalidConfig(
-                        "session round is full and the admission queue budget is exhausted"
-                            .to_string(),
-                    )),
-                    _ => Ok(()),
-                };
-            }
-            return Err(LiflError::InvalidConfig(format!(
-                "session round is full: topology aggregates {} updates",
-                self.topology.total_updates()
-            )));
-        }
-        // Vacated leaves (mid-round churn) refill before the round-robin
-        // cursor advances, so survivors keep their leaf assignment.
-        let vacancy = self.vacancies.pop();
-        let leaf = vacancy.unwrap_or((self.route_cursor as usize) % self.topology.leaves());
-        let target = self.aggregator_id(0, leaf);
-        // One attribution rule for every representation: anonymous updates
-        // take the session-lifetime arrival index, so residual slots never
-        // alias across rounds and the codec choice cannot change attribution.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let update = match update {
-            Update::Dense(mut dense) => {
-                let client = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    // Lossy codec: the dense payload is encoded (with
-                    // per-client error feedback) before it enters shared
-                    // memory, so the compressed representation is what flows.
-                    let samples = dense.samples;
-                    self.feedback.encode_update(client, dense.model, samples)
-                }
-            }
-            Update::Encoded {
-                client,
-                update,
-                samples,
-            } => Update::Encoded {
-                client: Some(client.unwrap_or(fallback)),
-                update,
-                samples,
-            },
-            other => other,
-        };
-        let wire_bytes = update.wire_bytes();
-        // A dense update's buffer moves into shared memory (no copy); an
-        // encoded one's body returns to the scratch pool once stored.
-        let feedback = &self.feedback;
-        let outcome = self
-            .gateway
-            .ingest_recycling(target, update, |encoded| feedback.recycle(encoded));
-        match &outcome {
-            Ok(queued) => {
-                // Account (and count) only what actually entered the round.
-                self.ingress_wire_bytes += wire_bytes;
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.round_keys.push(queued.key);
-                self.round_entries.push(RoundEntry {
-                    client: queued.producer,
-                    key: queued.key,
-                    wire_bytes,
-                    leaf,
-                });
-                if vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-            }
-            Err(_) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-            }
-        }
-        outcome.map(|_| ())
+        self.front.ingest(&mut self.leaves, update)
     }
 
     /// Ingests a batch of updates in order (see [`Session::ingest`]).
@@ -556,10 +547,7 @@ impl Session {
     /// Same conditions as [`Session::ingest`]; updates before the failing one
     /// stay ingested.
     pub fn ingest_all(&mut self, updates: impl IntoIterator<Item = Update>) -> Result<()> {
-        for update in updates {
-            self.ingest(update)?;
-        }
-        Ok(())
+        self.front.ingest_all(&mut self.leaves, updates)
     }
 
     /// The streaming ingress: offers one update and answers with typed
@@ -577,168 +565,14 @@ impl Session {
     /// Fails only on store/codec errors; a full round is an outcome, not an
     /// error.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        if (self.ingested as usize) < self.topology.total_updates() {
-            self.ingest(update)?;
-            return Ok(AdmissionOutcome::Admitted);
-        }
-        if self.admission.is_none() {
-            return Ok(AdmissionOutcome::Rejected {
-                retry_after: SimDuration::ZERO,
-            });
-        }
-        self.queue_offer(update)
-    }
-
-    /// Normalises an overflow update to wire form and parks it in the
-    /// admission queues (the round is full).
-    fn queue_offer(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        // Same attribution and lossy-encode rules as the admitted path, so a
-        // queued-then-drained update flows exactly as a direct ingest would.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let update = match update {
-            Update::Dense(mut dense) => {
-                let client = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    let samples = dense.samples;
-                    self.feedback.encode_update(client, dense.model, samples)
-                }
-            }
-            other => other,
-        };
-        let outcome = match &update {
-            // The model's little-endian byte view goes straight to the
-            // queue, which makes the one copy into its pooled backlog.
-            Update::Dense(dense) => match self.admission.as_mut() {
-                Some(queues) => queues.offer(
-                    dense.client,
-                    &dense_le_bytes(dense.model.as_slice()),
-                    dense.samples,
-                    false,
-                ),
-                None => AdmissionOutcome::Rejected {
-                    retry_after: SimDuration::ZERO,
-                },
-            },
-            Update::Encoded {
-                client,
-                update: encoded,
-                samples,
-            } => {
-                let wire = encoded.to_bytes();
-                match self.admission.as_mut() {
-                    Some(queues) => queues.offer(*client, &wire, *samples, true),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                }
-            }
-            Update::RemoteBytes {
-                wire,
-                weight,
-                encoded,
-            } => {
-                // Malformed payloads are refused up front, just as the
-                // direct ingress refuses them.
-                EncodedView::parse_wire(wire, *encoded)?;
-                match self.admission.as_mut() {
-                    Some(queues) => queues.offer(None, wire, *weight, *encoded),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                }
-            }
-        };
-        self.feedback.recycle_update(update);
-        Ok(outcome)
-    }
-
-    /// Drains queued offers into the open round — globally best first
-    /// (utility desc, arrival asc) — until the round is full or the backlog
-    /// is empty. Called automatically when a driven round opens the next
-    /// one.
-    ///
-    /// An offer that fails to enter the round is dropped (and counted in
-    /// [`AdmissionStats::dropped`](crate::admission::AdmissionStats)). After
-    /// a payload error ([`LiflError::Codec`]) the valid offers behind it
-    /// still drain; after any other error the drain stops and they stay
-    /// queued.
-    fn drain_backlog(&mut self) {
-        while (self.ingested as usize) < self.topology.total_updates() {
-            let Some(offer) = self.admission.as_mut().and_then(AdmissionQueues::take_best) else {
-                break;
-            };
-            let Err(error) =
-                self.ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
-            else {
-                continue;
-            };
-            if let Some(queues) = self.admission.as_mut() {
-                queues.record_failed_drain();
-            }
-            // A payload the codec refuses can never enter a round, so the
-            // valid offers behind it keep draining. Any other failure (a full
-            // store, a full subtree) would hit every later offer the same
-            // way: stop, and leave them queued for the next drain.
-            if !matches!(error, LiflError::Codec(_)) {
-                break;
-            }
-        }
+        self.front.try_ingest(&mut self.leaves, update)
     }
 
     /// Ingests a payload that is already in wire form, preserving its client
-    /// attribution (the drain half of the admission path; also the cluster's
-    /// re-offer path). Routing follows the same vacancy-then-round-robin
+    /// attribution (a cluster's drain path). Routing follows the same slot
     /// rule as [`Session::ingest`].
-    pub(crate) fn ingest_prepared(
-        &mut self,
-        client: Option<ClientId>,
-        payload: Vec<u8>,
-        weight: u64,
-        encoded: bool,
-    ) -> Result<()> {
-        if self.ingested as usize >= self.topology.total_updates() {
-            return Err(LiflError::InvalidConfig(format!(
-                "session round is full: topology aggregates {} updates",
-                self.topology.total_updates()
-            )));
-        }
-        let vacancy = self.vacancies.pop();
-        let leaf = vacancy.unwrap_or((self.route_cursor as usize) % self.topology.leaves());
-        let target = self.aggregator_id(0, leaf);
-        let wire_bytes = if encoded {
-            (payload.len() as u64).saturating_sub(WIRE_HEADER_BYTES)
-        } else {
-            payload.len() as u64
-        };
-        match self
-            .gateway
-            .ingest_prepared(target, client, payload, weight, encoded)
-        {
-            Ok(queued) => {
-                self.ingress_wire_bytes += wire_bytes;
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.round_keys.push(queued.key);
-                self.round_entries.push(RoundEntry {
-                    client: queued.producer,
-                    key: queued.key,
-                    wire_bytes,
-                    leaf,
-                });
-                if vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-                Err(e)
-            }
-        }
+    pub(crate) fn ingest_prepared(&mut self, offer: QueuedOffer) -> Result<()> {
+        self.front.ingest_prepared(&mut self.leaves, offer)
     }
 
     /// Mid-round churn: removes a departed client's update from the current
@@ -749,16 +583,14 @@ impl Session {
     /// position and the surviving fold stays bit-exact. Returns `true` if
     /// anything (slot or queued offer) was reclaimed.
     pub fn depart_client(&mut self, client: ClientId) -> bool {
-        let mut departed = false;
-        if let Some(queues) = self.admission.as_mut() {
-            departed = queues.remove_client(client) > 0;
-        }
+        let mut departed = self.front.remove_client(client);
         while let Some(pos) = self
+            .leaves
             .round_entries
             .iter()
             .position(|e| e.client == Some(client))
         {
-            let entry = self.round_entries.remove(pos);
+            let entry = self.leaves.round_entries.remove(pos);
             let removed = self
                 .leaf_inboxes
                 .get(entry.leaf)
@@ -767,60 +599,53 @@ impl Session {
                 continue;
             }
             let _ = self.store.recycle(&entry.key);
-            if let Some(kpos) = self.round_keys.iter().position(|k| *k == entry.key) {
-                self.round_keys.remove(kpos);
+            if let Some(kpos) = self.leaves.round_keys.iter().position(|k| *k == entry.key) {
+                self.leaves.round_keys.remove(kpos);
             }
-            self.ingested = self.ingested.saturating_sub(1);
-            self.ingress_wire_bytes = self.ingress_wire_bytes.saturating_sub(entry.wire_bytes);
-            self.vacancies.push(entry.leaf);
+            self.leaves.ingress_wire_bytes = self
+                .leaves
+                .ingress_wire_bytes
+                .saturating_sub(entry.wire_bytes);
+            self.front.reclaim(entry.leaf, 1);
             departed = true;
         }
         // Refill vacated slots from the backlog (highest utility first).
-        self.drain_backlog();
+        self.front.drain_backlog(&mut self.leaves);
         departed
     }
 
     /// Records a client's Oort utility score for admission priority (no-op
     /// without an admission configuration).
     pub fn record_client_utility(&mut self, client: ClientId, utility: f64) {
-        if let Some(queues) = self.admission.as_mut() {
-            queues.record_utility(client, utility);
-        }
+        self.front.record_client_utility(client, utility);
     }
 
     /// The producing clients of the current round's updates, in arrival
     /// order (`None` for anonymous remote forwards).
     pub fn round_clients(&self) -> Vec<Option<ClientId>> {
-        self.round_entries.iter().map(|e| e.client).collect()
+        self.leaves.round_entries.iter().map(|e| e.client).collect()
     }
 
     /// The admission configuration, when the streaming path is enabled.
     pub fn admission_config(&self) -> Option<&AdmissionConfig> {
-        self.admission.as_ref().map(AdmissionQueues::config)
+        self.front.admission_config()
     }
 
     /// Occupancy of every per-leaf admission queue (empty without an
     /// admission configuration).
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.admission
-            .as_ref()
-            .map_or_else(Vec::new, |q| q.depths())
+        self.front.queue_depths()
     }
 
     /// Total updates parked in the admission queues.
     pub fn queued_updates(&self) -> usize {
-        self.admission
-            .as_ref()
-            .map_or(0, AdmissionQueues::total_queued)
+        self.front.queued_updates()
     }
 
     /// Lifetime admission counters (zero-default without an admission
     /// configuration).
     pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        self.admission
-            .as_ref()
-            .map(AdmissionQueues::stats)
-            .unwrap_or_default()
+        self.front.admission_stats()
     }
 
     /// Drives the configured tree to completion over the ingested updates and
@@ -839,13 +664,14 @@ impl Session {
     /// folded round cannot be resumed, so its remaining updates are
     /// discarded and the session is reset to an empty round.
     pub fn drive(&mut self) -> Result<SessionReport> {
-        self.validate_round()?;
+        let capacity = self.topology.total_updates();
+        self.front.validate_close(&self.topology, capacity)?;
         let outcome = self.drive_and_decode();
         let report = outcome.map(|(model, weight)| SessionReport {
             update: ModelUpdate::intermediate(model, weight),
             store_stats: self.store.stats(),
-            ingress_wire_bytes: self.ingress_wire_bytes,
-            updates_ingested: self.ingested,
+            ingress_wire_bytes: self.leaves.ingress_wire_bytes,
+            updates_ingested: self.front.pending(),
             topology: self.topology.clone(),
         });
         // Success or aggregation failure, the round is over: free its store
@@ -853,30 +679,8 @@ impl Session {
         self.reset_round();
         // The next round opens immediately: queued clients win admission in
         // utility order.
-        self.drain_backlog();
+        self.front.drain_backlog(&mut self.leaves);
         report
-    }
-
-    /// Checks the round may close: an exact fill under the legacy policy, or
-    /// the configured quorum under partial participation.
-    fn validate_round(&self) -> Result<()> {
-        let close = self
-            .admission
-            .as_ref()
-            .map_or(RoundClose::Exact, |q| q.config().round_close);
-        match close {
-            RoundClose::Exact => self.topology.validate(self.ingested as usize),
-            RoundClose::Quorum { .. } => {
-                let required = close.required_updates(self.topology.total_updates());
-                if (self.ingested as usize) < required {
-                    return Err(LiflError::InvalidConfig(format!(
-                        "quorum not met: round has {} of {} required updates",
-                        self.ingested, required
-                    )));
-                }
-                Ok(())
-            }
-        }
     }
 
     /// Drives the configured tree to completion like [`Session::drive`], but
@@ -891,22 +695,23 @@ impl Session {
     /// # Errors
     /// Same conditions as [`Session::drive`].
     pub fn drive_to_wire(&mut self) -> Result<WireExport> {
-        self.validate_round()?;
+        let capacity = self.topology.total_updates();
+        self.front.validate_close(&self.topology, capacity)?;
         let outcome = self
             .drive_below_top()
             .and_then(|mut top| top.run_to_completion())
             .and_then(|result| {
-                self.round_keys.push(result.key);
+                self.leaves.round_keys.push(result.key);
                 let object = self.store.get(&result.key)?;
                 Ok(WireExport {
                     update: Update::remote_bytes(object.bytes(), result.weight, result.encoded),
                     store_stats: self.store.stats(),
-                    ingress_wire_bytes: self.ingress_wire_bytes,
-                    updates_ingested: self.ingested,
+                    ingress_wire_bytes: self.leaves.ingress_wire_bytes,
+                    updates_ingested: self.front.pending(),
                 })
             });
         self.reset_round();
-        self.drain_backlog();
+        self.front.drain_backlog(&mut self.leaves);
         outcome
     }
 
@@ -922,7 +727,7 @@ impl Session {
             return Ok((result.model, result.samples));
         }
         let result = top.run_to_completion()?;
-        self.round_keys.push(result.key);
+        self.leaves.round_keys.push(result.key);
         let object = self.store.get(&result.key)?;
         // The one remaining full-decode site: parse the header in place and
         // dequantize straight into the output buffer (no body copy).
@@ -943,7 +748,7 @@ impl Session {
     /// bit-exact.
     fn drive_below_top(&mut self) -> Result<AggregatorRuntime> {
         let levels = self.topology.levels();
-        let full = self.ingested as usize == self.topology.total_updates();
+        let full = self.front.pending() as usize == self.topology.total_updates();
         let mut stations: Vec<(usize, InPlaceQueue)> = self
             .leaf_inboxes
             .iter()
@@ -961,7 +766,7 @@ impl Session {
             for ((index, _), result) in stations.iter().zip(results) {
                 match result {
                     Ok(output) => {
-                        self.round_keys.push(output.key);
+                        self.leaves.round_keys.push(output.key);
                         outputs.push((*index, output));
                     }
                     Err(error) if first_error.is_none() => first_error = Some(error),
@@ -1012,14 +817,12 @@ impl Session {
         for inbox in &self.leaf_inboxes {
             while inbox.dequeue().is_some() {}
         }
-        for key in self.round_keys.drain(..) {
+        for key in self.leaves.round_keys.drain(..) {
             let _ = self.store.recycle(&key);
         }
-        self.ingested = 0;
-        self.ingress_wire_bytes = 0;
-        self.round_entries.clear();
-        self.route_cursor = 0;
-        self.vacancies.clear();
+        self.front.reset_round();
+        self.leaves.ingress_wire_bytes = 0;
+        self.leaves.round_entries.clear();
     }
 
     /// Runs every listed station (position, inbox) of one level on its own
@@ -1137,6 +940,7 @@ impl lifl_fl::Ingest for Session {
 mod tests {
     use super::*;
     use lifl_fl::aggregate::fedavg;
+    use lifl_types::SimDuration;
 
     fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
         (0..n)
@@ -1507,8 +1311,8 @@ mod tests {
         // Queue-time validation refuses malformed payloads, so park one
         // straight in the queues to model an offer that fails at drain time.
         session
-            .admission
-            .as_mut()
+            .front
+            .queues_mut()
             .unwrap()
             .offer(None, &[1, 2, 3], 1, true);
         for u in &batch[5..] {

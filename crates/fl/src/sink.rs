@@ -44,27 +44,14 @@ pub trait Ingest {
     fn ingest_update(&mut self, update: Update) -> Result<()>;
 
     /// Offers one update under admission control, answering with typed
-    /// backpressure instead of an error when the round is full.
-    ///
-    /// The default implementation has no backlog: it admits while the round
-    /// has room and rejects (with a zero retry hint) once it is full, so
-    /// unbounded backends keep their legacy semantics. Bounded backends
-    /// override this to park overflow in their admission queues.
+    /// backpressure instead of an error when the round is full: `Admitted`
+    /// while the round has room, then `Queued` or `Rejected` (a backend
+    /// without a backlog rejects with a zero retry hint).
     ///
     /// # Errors
     /// Fails only on store/codec errors; a full round is an outcome, not an
     /// error.
-    fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        match self.ingest_update(update) {
-            Ok(()) => Ok(AdmissionOutcome::Admitted),
-            Err(lifl_types::LiflError::InvalidConfig(msg)) if msg.contains("round is full") => {
-                Ok(AdmissionOutcome::Rejected {
-                    retry_after: lifl_types::SimDuration::ZERO,
-                })
-            }
-            Err(e) => Err(e),
-        }
-    }
+    fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome>;
 
     /// Updates one round aggregates (the capacity of the backend's tree).
     fn round_capacity(&self) -> usize;

@@ -23,7 +23,7 @@ pub const HOT_PATH_CRATES: [&str; 5] = [
 /// Modules whose bit-exact determinism the `it`/`faults` tiers prove (R5):
 /// the fold kernels and everything that routes updates into them. Entries
 /// ending in `/` cover a directory.
-pub const FOLD_MODULES: [&str; 15] = [
+pub const FOLD_MODULES: [&str; 16] = [
     "crates/types/src/fold.rs",
     "crates/fl/src/aggregate.rs",
     "crates/fl/src/sharded.rs",
@@ -33,6 +33,7 @@ pub const FOLD_MODULES: [&str; 15] = [
     "crates/fl/src/kernels/",
     "crates/core/src/session.rs",
     "crates/core/src/cluster.rs",
+    "crates/core/src/front.rs",
     "crates/core/src/training.rs",
     "crates/core/src/gateway.rs",
     "crates/core/src/aggregator.rs",
@@ -649,25 +650,43 @@ pub fn determinism(files: &[SourceFile]) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// R6: the legacy runtime stays deleted.
+// R6: the legacy runtime and the unused modules stay deleted.
 // ---------------------------------------------------------------------------
+
+/// Module files deleted for good (R6), each with why it went: the legacy
+/// runtime, and substrate modules nothing outside their own crate used.
+pub const DELETED_MODULES: [(&str, &str); 3] = [
+    (
+        "crates/core/src/runtime.rs",
+        "the legacy runtime module is back; it was deleted in PR 6",
+    ),
+    (
+        "crates/serverless/src/serverful.rs",
+        "the unused serverful-deployment module is back",
+    ),
+    (
+        "crates/serverless/src/sidecar_container.rs",
+        "the unused container-sidecar module is back",
+    ),
+];
 
 /// R6: the legacy runtime deleted in PR 6 (`crates/core/src/runtime.rs`, the
 /// `run_hierarchical*` entry points and their `#[allow(deprecated)]` escape
-/// hatches) must stay deleted. Unlike the shell guard this replaces, the
-/// check runs on code tokens, so prose in comments and string literals can
-/// mention the old names freely.
+/// hatches) and the unused modules in [`DELETED_MODULES`] must stay deleted.
+/// Unlike the shell guard this replaces, the symbol check runs on code
+/// tokens, so prose in comments and string literals can mention the old
+/// names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
-    if root.join("crates/core/src/runtime.rs").exists() {
-        out.push(Finding {
-            file: "crates/core/src/runtime.rs".to_string(),
-            line: 1,
-            rule: Rule::LegacyRuntime,
-            message: "the legacy runtime module is back; it was deleted in PR 6 \
-                      (see MIGRATION.md) and must stay gone"
-                .to_string(),
-        });
+    for (path, what) in DELETED_MODULES {
+        if root.join(path).exists() {
+            out.push(Finding {
+                file: path.to_string(),
+                line: 1,
+                rule: Rule::LegacyRuntime,
+                message: format!("{what} (see MIGRATION.md) and must stay gone"),
+            });
+        }
     }
     for f in files {
         let code = code_indices(f);

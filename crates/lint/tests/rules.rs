@@ -126,10 +126,13 @@ fn r5_pass_accepts_btree_and_test_hash() {
 #[test]
 fn r6_fail_flags_file_path_call_and_deprecated_allow() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
-    assert!(found.len() >= 4, "{found:#?}");
+    assert!(found.len() >= 5, "{found:#?}");
     assert!(found
         .iter()
         .any(|f| f.contains("crates/core/src/runtime.rs:1") && f.contains("is back")));
+    assert!(found
+        .iter()
+        .any(|f| f.contains("crates/serverless/src/serverful.rs:1") && f.contains("is back")));
     assert!(found.iter().any(|f| f.contains("`run_hierarchical`")));
     assert!(found.iter().any(|f| f.contains("`runtime::` path")));
     assert!(found.iter().any(|f| f.contains("`#[allow(deprecated)]`")));

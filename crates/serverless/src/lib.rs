@@ -1,10 +1,10 @@
 //! # lifl-serverless
 //!
-//! The serverless- and serverful-platform substrates the paper's baselines run
-//! on (Fig. 2, §2.3, §6): function instances with cold/warm starts and
-//! keep-alive, a Knative-KPA-style threshold autoscaler, load-balancing
-//! policies (least-connection / round-robin), an always-on message-broker
-//! service, container sidecars and a fixed serverful deployment.
+//! The serverless-platform substrate the paper's baselines run on (Fig. 2,
+//! §2.3, §6): function instances with cold/warm starts and keep-alive, a
+//! Knative-KPA-style threshold autoscaler, load-balancing policies
+//! (least-connection / round-robin) and an always-on message-broker
+//! service.
 //!
 //! LIFL itself replaces most of these components; they are implemented here so
 //! the baseline systems (`lifl-baselines`) are real systems rather than
@@ -33,8 +33,6 @@ pub mod kpa;
 pub mod loadbalance;
 pub mod request_queue;
 pub mod revision;
-pub mod serverful;
-pub mod sidecar_container;
 
 pub use autoscale::ThresholdAutoscaler;
 pub use chain::{ChainReadiness, ChainScaling, FunctionChain};
@@ -45,4 +43,3 @@ pub use kpa::{KpaAutoscaler, KpaConfig, KpaDecision};
 pub use loadbalance::{LeastConnection, LoadBalancer, RoundRobin};
 pub use request_queue::{Admission, RequestQueue, RequestQueueConfig};
 pub use revision::{PodPhase, Revision, RevisionStats};
-pub use serverful::ServerfulDeployment;
